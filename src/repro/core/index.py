@@ -1,17 +1,22 @@
 """CLIMBER-INX build pipeline — paper Fig. 6, Steps 1–4, on Spark DataFrames.
 
-Step 1  sample → PAA → random pivots → rank-sensitive signatures
-        (`DataFrame.sample` + ``mapInPandas`` kernels; the ``[(P⁴, freq)]``
-        lists are `groupBy(signature).count()` aggregations).
+Step 1  sample → PAA → random pivots → rank-sensitive signatures. The
+        α-sample keeps the rows whose ``pmod(xxhash64(id, seed), 2²⁰)`` is
+        below ``α·2²⁰``, so it depends on the ids alone, not on how the input
+        is split; its PAA matrix is collected to the driver and ordered by
+        id. Pivots are drawn from it, and the ``[(P⁴→, freq)]`` list is
+        counted from it in numpy (``np.unique``) — no second Spark job.
 Step 2  Algorithm 2 on the rank-insensitive frequency list → centroids.
 Step 3  Algorithm 1 assignment of the sample, per-group tries, FFD packing
         → the index *skeleton* (driver-side, tiny).
-Step 4  full-dataset redistribution: the pivots + skeleton ship to
-        executors inside the ``mapInPandas`` closure (the paper's
-        broadcast); every series gets ``(gid, pid, node)``; a
-        ``repartition(pid)`` shuffle + ``write.partitionBy("pid")`` produce
-        the physical partitions, with records sorted by trie node so each
-        node's records are contiguous (the paper's in-partition layout).
+Step 4  full-dataset redistribution: the skeleton (pivots included) ships to
+        executors inside one ``mapInPandas`` closure (the paper's
+        broadcast), which maps each ``(id, series)`` straight to
+        ``(gid, pid, node)``; a ``repartition(pid)`` shuffle +
+        ``write.partitionBy("pid")`` produce the physical partitions, with
+        records sorted by trie node so each node's records are contiguous
+        (the paper's in-partition layout). Only ``id``, ``series``, ``gid``,
+        ``node`` and the ``pid`` directory are stored.
 
 After the write, one cheap aggregation collects exact per-node landing
 counts and per-partition occupancies; the skeleton's estimated counts are
@@ -32,7 +37,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .paa import with_paa
-from .pivots import select_pivots, with_signatures
+from .pivots import select_pivots, signatures_np
 from .query import QueryPlan, route_adaptive, route_knn, route_od_smallest, timed_knn_scan
 from .skeleton import Skeleton, build_skeleton
 
@@ -140,24 +145,25 @@ class ClimberIndex:
         )
 
 
-def _with_assignment(df: DataFrame, sk: Skeleton) -> DataFrame:
-    """Step 4 kernel: append (gid, pid, node) using the broadcast skeleton."""
+def assign_partitions(df: DataFrame, sk: Skeleton) -> DataFrame:
+    """Step 4 kernel: ``(id, series)`` → ``(id, series, gid, pid, node)``.
+
+    One pass per Arrow batch: signatures (`Skeleton.signatures`) and then
+    Algorithm 1 + trie navigation (`Skeleton.assign_records`), with the
+    serialized skeleton captured in the task closure.
+    """
     blob = sk.serialize()
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         local = Skeleton.deserialize(blob)
         for pdf in batches:
-            pdf = pdf.copy()
-            if len(pdf):
-                sig_rs = np.stack(pdf["sig_rs"].to_numpy()).astype(np.int64)
-                gid, pid, nodes = local.assign_records(sig_rs, pdf["id"].to_numpy())
-                pdf["gid"], pdf["pid"], pdf["node"] = gid, pid, nodes
-            else:
-                pdf["gid"] = pd.Series([], dtype="int64")
-                pdf["pid"] = pd.Series([], dtype="int64")
-                pdf["node"] = pd.Series([], dtype="object")
+            if not len(pdf):
+                continue
+            sig_rs, _ = local.signatures(np.stack(pdf["series"].to_numpy()))
+            pdf["gid"], pdf["pid"], pdf["node"] = local.assign_records(sig_rs, pdf["id"].to_numpy())
             yield pdf
 
+    df = df.select("id", "series")
     schema = ", ".join(f"{f.name} {f.dataType.simpleString()}" for f in df.schema.fields)
     return df.mapInPandas(gen, schema=f"{schema}, gid long, pid long, node string")
 
@@ -172,28 +178,21 @@ def build_index(
     os.makedirs(out_dir, exist_ok=True)
     report = BuildReport()
 
-    # -- Step 1: sample, PAA, pivots, sample signatures ----------------------
+    # -- Step 1: sample, PAA, pivots, sample signature frequencies -----------
     t0 = time.perf_counter()
-    sample = series_df.sample(fraction=params.alpha, seed=params.seed)
-    sample_paa = with_paa(sample, params.w).select("id", "paa")
-    sample_paa_pdf = sample_paa.toPandas()
-    if len(sample_paa_pdf) < params.r:
+    scale = 1 << 20
+    keep = F.pmod(F.xxhash64("id", F.lit(params.seed)), F.lit(scale)) < F.lit(params.alpha * scale)
+    sample_pdf = with_paa(series_df.where(keep), params.w).select("id", "paa").toPandas()
+    if len(sample_pdf) < params.r:
         raise ValueError(
-            f"sample of {len(sample_paa_pdf)} rows < r={params.r} pivots; "
+            f"sample of {len(sample_pdf)} rows < r={params.r} pivots; "
             "raise alpha or lower r"
         )
-    P = np.stack(sample_paa_pdf["paa"].to_numpy())
+    P = np.stack(sample_pdf.sort_values("id")["paa"].to_numpy())
     pivots = select_pivots(P, params.r, seed=params.seed)
-
-    sig_freqs_pdf = (
-        with_signatures(sample_paa.cache(), pivots, params.m)
-        .groupBy("sig_rs")
-        .count()
-        .toPandas()
-    )
+    sigs, freqs = np.unique(signatures_np(P, pivots, params.m)[0], axis=0, return_counts=True)
     rs_freqs: List[Tuple[Tuple[int, ...], int]] = [
-        (tuple(int(p) for p in sig), int(cnt))
-        for sig, cnt in zip(sig_freqs_pdf["sig_rs"], sig_freqs_pdf["count"])
+        (tuple(sig.tolist()), int(cnt)) for sig, cnt in zip(sigs, freqs)
     ]
     report.sample_s = time.perf_counter() - t0
 
@@ -208,9 +207,7 @@ def build_index(
 
     # -- Step 4: full-data conversion + redistribution -----------------------
     t0 = time.perf_counter()
-    assigned = _with_assignment(
-        with_signatures(with_paa(series_df, params.w), pivots, params.m), sk
-    )
+    assigned = assign_partitions(series_df, sk)
     data_path = os.path.join(out_dir, "data")
     (
         assigned.repartition("pid")

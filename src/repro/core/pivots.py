@@ -14,12 +14,9 @@ the paper does (§V Step 1: "random selection works competitively well").
 """
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql.types import ArrayType, IntegerType, StructField, StructType
 
 
 def select_pivots(paa_sample: np.ndarray, r: int, seed: int = 0) -> np.ndarray:
@@ -68,41 +65,3 @@ def signatures_np(paa: np.ndarray, pivots: np.ndarray, m: int) -> Tuple[np.ndarr
     sig_ri = np.sort(sig_rs, axis=1).astype(np.int32)
     return sig_rs, sig_ri
 
-
-def with_signatures(
-    df: DataFrame,
-    pivots: np.ndarray,
-    m: int,
-    *,
-    paa_col: str = "paa",
-    rs_col: str = "sig_rs",
-    ri_col: str = "sig_ri",
-) -> DataFrame:
-    """Spark operator: append rank-sensitive/insensitive signature columns.
-
-    ``pivots`` is captured in the task closure (it is tiny: r×w doubles),
-    mirroring the paper's broadcast of the pivot set in Fig. 6 Step 4.
-    """
-    P = np.asarray(pivots, dtype=np.float64)
-    out_schema = StructType(
-        df.schema.fields
-        + [
-            StructField(rs_col, ArrayType(IntegerType()), False),
-            StructField(ri_col, ArrayType(IntegerType()), False),
-        ]
-    )
-
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            pdf = pdf.copy()
-            if len(pdf):
-                X = np.stack(pdf[paa_col].to_numpy())
-                rs, ri = signatures_np(X, P, m)
-                pdf[rs_col] = list(rs)
-                pdf[ri_col] = list(ri)
-            else:
-                pdf[rs_col] = []
-                pdf[ri_col] = []
-            yield pdf
-
-    return df.mapInPandas(gen, schema=out_schema)

@@ -32,10 +32,6 @@ from .paa import paa_np
 from .pivots import signatures_np
 from .trie import TrieNode, annotate_pids, build_trie, leaves, navigate
 
-#: node label used for records that fall back to the group default partition
-#: while sitting on an internal node — kept as the deepest matched path so
-#: in-partition layout still clusters them with their subtree.
-
 
 @dataclass
 class Group:
@@ -166,12 +162,15 @@ def build_skeleton(
 ) -> Skeleton:
     """Steps 2–3 of Fig. 6: centroids → groups → tries → FFD packing.
 
-    ``rs_freqs`` is the sample's aggregated ``[(P⁴→, freq)]`` list. All
-    counts are scaled by ``1/alpha`` to full-dataset estimates before the
-    capacity constraint is applied (the paper's ×100/α rescale).
+    ``rs_freqs`` is the sample's aggregated ``[(P⁴→, freq)]`` list, in any
+    order: it is sorted by signature first, so the skeleton does not depend
+    on the order the aggregation returned it in. All counts are scaled by
+    ``1/alpha`` to full-dataset estimates before the capacity constraint is
+    applied (the paper's ×100/α rescale).
     """
-    rs_list = [tuple(int(p) for p in sig) for sig, _ in rs_freqs]
-    freqs = np.array([int(f) for _, f in rs_freqs], dtype=np.int64)
+    pairs = sorted((tuple(int(p) for p in sig), int(f)) for sig, f in rs_freqs)
+    rs_list = [sig for sig, _ in pairs]
+    freqs = np.array([f for _, f in pairs], dtype=np.int64)
 
     # Step 2 — rank-insensitive aggregation + Algorithm 2.
     ri_agg: Dict[Tuple[int, ...], int] = {}

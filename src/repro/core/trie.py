@@ -73,12 +73,10 @@ def build_trie(
             if depth >= len(sig):
                 continue  # signature shorter than depth: stays on this node
             by_pivot.setdefault(sig[depth], []).append(i)
-        if len(by_pivot) <= 0:
+        if not by_pivot:
             return node
-        if len(by_pivot) == 1 and len(next(iter(by_pivot.values()))) == len(node_members):
-            # All members share the next pivot; still descend (the paper's
-            # trie in Fig. 5 has such chains), but only if depth can grow.
-            pass
+        # A single-child chain still descends (the paper's Fig. 5 trie has
+        # such chains) until the node fits or depth reaches max_depth.
         for pivot in sorted(by_pivot):
             child_path = f"{path}/{pivot}" if path else str(pivot)
             node.children[pivot] = make(by_pivot[pivot], depth + 1, child_path)

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.index import ClimberIndex, ClimberParams, build_index
+from repro.core.index import ClimberIndex, ClimberParams, assign_partitions, build_index
 from repro.oracle import assert_equivalent
 from tests.conftest import N_SMALL, SMALL_PARAMS
 
@@ -45,25 +45,27 @@ class TestBuildOutputs:
         assert total == pytest.approx(N_SMALL)
 
 
+def _stored_signatures(spark, idx, limit=None):
+    """Stored rows ordered by id, with P⁴ signatures recomputed from ``series``."""
+    df = spark.read.parquet(idx.data_path).orderBy("id")
+    pdf = (df.limit(limit) if limit else df).toPandas()
+    sig_rs, sig_ri = idx.skeleton.signatures(np.stack(pdf["series"].to_numpy()))
+    return pdf, sig_rs, sig_ri
+
+
 class TestDataLayout:
     def test_stored_columns(self, spark, climber_index):
+        """Only what the scan and the stats need: no paa / sig_rs / sig_ri."""
         df = spark.read.parquet(climber_index.data_path)
-        assert {"id", "series", "sig_rs", "sig_ri", "gid", "node", "pid"} <= set(df.columns)
+        assert set(df.columns) == {"id", "series", "gid", "node", "pid"}
 
     def test_ids_unique_and_complete(self, spark, climber_index):
         ids = spark.read.parquet(climber_index.data_path).select("id").toPandas()["id"]
         assert sorted(ids) == list(range(N_SMALL))
 
     def test_assignment_reproducible(self, spark, climber_index):
-        """Re-running the skeleton's assignment on stored sigs matches stored pids."""
-        pdf = (
-            spark.read.parquet(climber_index.data_path)
-            .select("id", "sig_rs", "gid", "pid")
-            .orderBy("id")
-            .limit(200)
-            .toPandas()
-        )
-        sig_rs = np.stack(pdf["sig_rs"].to_numpy()).astype(np.int64)
+        """Re-running the skeleton's assignment on stored series matches stored pids."""
+        pdf, sig_rs, _ = _stored_signatures(spark, climber_index, limit=200)
         gid, pid, _ = climber_index.skeleton.assign_records(sig_rs, pdf["id"].to_numpy())
         np.testing.assert_array_equal(gid, pdf["gid"].to_numpy())
         np.testing.assert_array_equal(pid, pdf["pid"].to_numpy())
@@ -99,15 +101,65 @@ class TestOracleChecks:
 
     def test_signature_frequency_oracle(self, spark, climber_index):
         """Step 2's [(P⁴, freq)] aggregation ≡ DuckDB group-by on strings."""
-        sigs = (
-            spark.read.parquet(climber_index.data_path)
-            .select(F.concat_ws("-", F.col("sig_ri")).alias("sig"))
+        _, _, sig_ri = _stored_signatures(spark, climber_index)
+        sigs = spark.createDataFrame(
+            pd.DataFrame({"sig": ["-".join(map(str, row)) for row in sig_ri.tolist()]})
         )
         got = sigs.groupBy("sig").agg(F.count("*").alias("freq"))
         assert_equivalent(
             got, "SELECT sig, count(*) AS freq FROM sigs GROUP BY sig",
             sigs=sigs.toPandas(),
         )
+
+
+class TestAssignKernel:
+    def test_matches_assign_records(self, spark, small_df, small_matrix, climber_index):
+        """The fused kernel's (gid, pid, node) ≡ assign_records(signatures(X)), row for row."""
+        sk = climber_index.skeleton
+        pdf = assign_partitions(small_df, sk).orderBy("id").toPandas()
+        sig_rs, _ = sk.signatures(small_matrix)
+        gid, pid, nodes = sk.assign_records(sig_rs, np.arange(N_SMALL))
+        np.testing.assert_array_equal(pdf["id"].to_numpy(), np.arange(N_SMALL))
+        np.testing.assert_array_equal(pdf["gid"].to_numpy(), gid)
+        np.testing.assert_array_equal(pdf["pid"].to_numpy(), pid)
+        assert pdf["node"].tolist() == nodes
+        np.testing.assert_array_equal(np.stack(pdf["series"].to_numpy()), small_matrix)
+
+    def test_empty_input_partitions(self, spark, small_df, tmp_path):
+        """Most of the 16 input partitions are empty; no row is lost."""
+        n = 300
+        df = small_df.where(F.col("id") < n).repartition(16, F.col("id") % 5)
+        assert df.select(F.spark_partition_id()).distinct().count() < df.rdd.getNumPartitions()
+        idx = build_index(spark, df, str(tmp_path / "idx"), SMALL_PARAMS)
+        ids = spark.read.parquet(idx.data_path).select("id").toPandas()["id"]
+        assert sorted(ids) == list(range(n))
+        assert idx.n_series == n
+
+
+class TestSplitInvariance:
+    def test_same_rows_any_split_same_index(self, spark, small_df, queries, climber_index, tmp_path):
+        """The input's partitioning and the shuffle width do not change the build."""
+        _, Q = queries
+        variants = ("knn", "adaptive-2x", "adaptive-4x", "od-smallest")
+
+        def signature(idx):
+            # repr, not ==: od-smallest plans carry a NaN node count.
+            plans = [repr(idx.plan(q, 10, variant=v)) for q in Q for v in variants]
+            return idx.skeleton.pivots, idx.pid_counts, plans
+
+        ref_piv, ref_counts, ref_plans = signature(climber_index)
+        old = spark.conf.get("spark.sql.shuffle.partitions")
+        try:
+            for ways, shuffle in ((3, 4), (3, 32), (7, 4), (7, 32)):
+                spark.conf.set("spark.sql.shuffle.partitions", str(shuffle))
+                idx = build_index(spark, small_df.repartition(ways),
+                                  str(tmp_path / f"{ways}-{shuffle}"), SMALL_PARAMS)
+                piv, counts, plans = signature(idx)
+                np.testing.assert_array_equal(piv, ref_piv)
+                assert counts == ref_counts
+                assert plans == ref_plans
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", old)
 
 
 class TestPersistence:

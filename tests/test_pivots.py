@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.paa import paa_np
-from repro.core.pivots import pivot_distances, select_pivots, signatures_np, with_signatures
+from repro.core.pivots import pivot_distances, select_pivots, signatures_np
 
 
 class TestSelectPivots:
@@ -119,16 +119,20 @@ class TestSignaturesNp:
                 assert len(set(row.tolist())) == 4
 
 
-class TestWithSignaturesSpark:
-    def test_matches_numpy(self, spark, small_df, small_matrix):
-        from repro.core.paa import with_paa
+class TestAssignKernelSpark:
+    def test_matches_numpy(self, small_df, small_matrix):
+        """The fused Step-4 kernel's Spark signatures ≡ the numpy chain's."""
+        from repro.core.index import assign_partitions
+        from repro.core.skeleton import build_skeleton
 
-        P = select_pivots(paa_np(small_matrix, 8), 12, seed=0)
-        pdf = (
-            with_signatures(with_paa(small_df, 8), P, 4)
-            .orderBy("id")
-            .toPandas()
-        )
-        rs_expect, ri_expect = signatures_np(paa_np(small_matrix, 8), P, 4)
-        np.testing.assert_array_equal(np.stack(pdf["sig_rs"].to_numpy()), rs_expect)
-        np.testing.assert_array_equal(np.stack(pdf["sig_ri"].to_numpy()), ri_expect)
+        paa = paa_np(small_matrix, 8)
+        P = select_pivots(paa, 12, seed=0)
+        rs, _ = signatures_np(paa, P, 4)
+        sigs, freqs = np.unique(rs, axis=0, return_counts=True)
+        sk = build_skeleton(list(zip(sigs, freqs)), P, w=8, m=4, capacity=100, alpha=1.0)
+        pdf = assign_partitions(small_df, sk).orderBy("id").toPandas()
+        gid, pid, nodes = sk.assign_records(rs, np.arange(len(rs)))
+        np.testing.assert_array_equal(pdf["id"].to_numpy(), np.arange(len(rs)))
+        np.testing.assert_array_equal(pdf["gid"].to_numpy(), gid)
+        np.testing.assert_array_equal(pdf["pid"].to_numpy(), pid)
+        assert pdf["node"].tolist() == nodes

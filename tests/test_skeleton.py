@@ -60,6 +60,34 @@ class TestBuild:
         assert FALLBACK_GID in sk.groups and sk.n_partitions >= 1
 
 
+def _structure(sk):
+    """Everything a build fixes: centroids, default pids and per-leaf state."""
+    return {
+        gid: (
+            g.centroid,
+            g.default_pid,
+            [(leaf.path, leaf.count, sorted(leaf.pids)) for leaf in leaves(g.trie)],
+        )
+        for gid, g in sk.groups.items()
+    }
+
+
+class TestInputOrder:
+    def test_shuffled_input_gives_identical_skeleton(self):
+        """The [(P⁴→, freq)] list arrives in aggregation order; it must not matter."""
+        rng = np.random.default_rng(3)
+        pivots = rng.normal(size=(12, 4))
+        sigs = {tuple(int(p) for p in rng.choice(12, 4, replace=False)) for _ in range(400)}
+        rs_freqs = [(s, int(f)) for s, f in zip(sorted(sigs), rng.integers(1, 6, len(sigs)))]
+        kw = dict(w=4, m=4, capacity=40, alpha=0.5, eps=2, max_centroids=8, seed=1)
+        ref = build_skeleton(rs_freqs, pivots, **kw)
+        for perm_seed in range(3):
+            order = np.random.default_rng(perm_seed).permutation(len(rs_freqs))
+            sk = build_skeleton([rs_freqs[i] for i in order], pivots, **kw)
+            assert sk.n_partitions == ref.n_partitions
+            assert _structure(sk) == _structure(ref)
+
+
 class TestAssignRecords:
     def test_leaf_landing_gets_leaf_pid(self, toy_skeleton):
         sk, rs_freqs = toy_skeleton
