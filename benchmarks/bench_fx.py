@@ -2,13 +2,17 @@
 
 These are the per-record costs that Fig. 10(a) attributes the build-time
 growth to ("pivot-based conversions and comparisons"); measured here as
-pure numpy kernels over a 10k×256 batch.
+pure numpy kernels over a 10k×256 batch. The Arrow series decode and
+Algorithm 1 on a tie-heavy batch are here too, so a regression in the
+build's executor kernels shows without a Spark run.
 """
 import numpy as np
+import pyarrow as pa
 import pytest
 
+from repro.core.assignment import assign_batch
 from repro.core.distances import centroid_mask, decay_weights, ed_np, od_matrix, wd_matrix
-from repro.core.paa import paa_np, znorm_np
+from repro.core.paa import paa_np, series_matrix, znorm_np
 from repro.core.pivots import signatures_np
 
 B, N, W, R, M = 10_000, 256, 16, 64, 6
@@ -64,3 +68,28 @@ def test_ed_refinement_kernel(benchmark, batch):
     X, *_ = batch
     Q = X[:8]
     benchmark(ed_np, X, Q)
+
+
+@pytest.fixture(scope="module")
+def series_column(batch):
+    X, *_ = batch
+    return pa.array(list(X), type=pa.list_(pa.float64()))
+
+
+def test_series_decode_arrow(benchmark, series_column):
+    """Zero-copy (rows × n) view of a 10k×256 Arrow list column."""
+    benchmark(series_matrix, series_column)
+
+
+def test_series_decode_pandas_stack(benchmark, series_column):
+    """The path it replaced: Arrow → pandas object column → ``np.stack``."""
+    benchmark(lambda col: np.stack(col.to_pandas().to_numpy()), series_column)
+
+
+def test_assign_batch_tie_heavy(benchmark):
+    """Algorithm 1 on 10k rows over 3 centroids of 3 pivots out of 9: most
+    rows tie on OD, and many stay tied after WD (random tie-break)."""
+    rng = np.random.default_rng(1)
+    sigs = np.stack([rng.choice(9, 3, replace=False) for _ in range(B)])
+    mask = centroid_mask([(0, 1, 2), (2, 3, 4), (4, 5, 6)], 9)
+    benchmark(assign_batch, sigs, mask, decay_weights(3, "exp", 0.5), ids=np.arange(B), seed=7)

@@ -23,20 +23,23 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
-from ..core.paa import paa_np, with_paa, znorm_np
+from ..core.paa import paa_np, sample_paa, series_matrix, znorm_np
 from ..core.query import QueryPlan, timed_knn_scan
 from .isax import MAX_BITS, isax_symbols
 
 
 def sample_symbols(series_df: DataFrame, w: int, alpha: float, seed: int) -> np.ndarray:
-    """Collect the sample's (B, w) iSAX symbols at MAX_BITS."""
-    pdf = with_paa(series_df.sample(fraction=alpha, seed=seed), w).select("paa").toPandas()
-    if not len(pdf):
+    """Collect the sample's (B, w) iSAX symbols at MAX_BITS, ordered by id.
+
+    The same id-hash α-sample as CLIMBER's Step 1 (`paa.sample_paa`), so the
+    index does not depend on how the input is partitioned.
+    """
+    P = sample_paa(series_df, w, alpha, seed)
+    if not len(P):
         raise ValueError("empty sample; raise alpha")
-    P = np.stack(pdf["paa"].to_numpy())
     return isax_symbols(P, MAX_BITS)
 
 
@@ -64,15 +67,18 @@ class BaselineIndex:
     def global_index_size_bytes(self) -> int:
         return len(pickle.dumps(self.router, protocol=pickle.HIGHEST_PROTOCOL))
 
+    def plans(self, queries: np.ndarray) -> Dict[int, QueryPlan]:
+        """Each query's plan: the one partition its iSAX word routes to."""
+        syms = query_symbols(np.atleast_2d(queries), self.w)
+        return {
+            qid: QueryPlan(pids=(int(self.router.route(s)),), prefixes=("",), expand_full=True)
+            for qid, s in enumerate(syms)
+        }
+
     def knn_batch(self, spark: SparkSession, queries: np.ndarray, k: int):
         """Route each query to its single partition and scan (one Spark job)."""
         Q = np.atleast_2d(queries)
-        syms = query_symbols(Q, self.w)
-        plans = {
-            qid: QueryPlan(pids=(int(self.router.route(syms[qid])),), prefixes=("",), expand_full=True)
-            for qid in range(Q.shape[0])
-        }
-        return timed_knn_scan(spark, self.data_path, plans, Q, k, self.pid_counts)
+        return timed_knn_scan(spark, self.data_path, self.plans(Q), Q, k, self.pid_counts)
 
 
 def redistribute(
@@ -86,22 +92,20 @@ def redistribute(
     the physical parquet partitions. Returns (pid occupancy, total rows)."""
     blob = pickle.dumps(router, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def gen(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         local = pickle.loads(blob)
-        for pdf in batches:
-            pdf = pdf.copy()
-            if len(pdf):
-                X = np.stack(pdf["series"].to_numpy())
-                syms = isax_symbols(paa_np(znorm_np(X), w), MAX_BITS)
-                pdf["pid"] = [int(local.route(s)) for s in syms]
-                pdf["node"] = ""
-            else:
-                pdf["pid"] = pd.Series([], dtype="int64")
-                pdf["node"] = pd.Series([], dtype="object")
-            yield pdf
+        for batch in batches:
+            if not batch.num_rows:
+                continue
+            syms = isax_symbols(paa_np(znorm_np(series_matrix(batch.column("series"))), w), MAX_BITS)
+            pid = pa.array([int(local.route(s)) for s in syms], type=pa.int64())
+            node = pa.array([""] * batch.num_rows, type=pa.string())
+            yield pa.RecordBatch.from_arrays(
+                batch.columns + [pid, node], names=batch.schema.names + ["pid", "node"]
+            )
 
     schema = ", ".join(f"{f.name} {f.dataType.simpleString()}" for f in series_df.schema.fields)
-    assigned = series_df.mapInPandas(gen, schema=f"{schema}, pid long, node string")
+    assigned = series_df.mapInArrow(gen, schema=f"{schema}, pid long, node string")
     data_path = os.path.join(out_dir, "data")
     assigned.repartition("pid").write.mode("overwrite").partitionBy("pid").parquet(data_path)
     stats = spark.read.parquet(data_path).groupBy("pid").count().toPandas()

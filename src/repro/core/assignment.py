@@ -12,10 +12,10 @@ series object with its dual signatures, assign the object to a group:
    centroids (seeded per-object here so assignment is reproducible and
    independent of Spark partitioning).
 
-``assign_batch`` is the vectorized kernel used both at index-build time
-(Step 3 on the sample, Step 4 on the full data) and — with ``return_ties``
-— by the query router, which needs the full tied-group list rather than a
-single resolved pick.
+``assign_batch`` is the vectorized kernel used at index-build time (Step 3
+on the sample, Step 4 on the full data); it evaluates WD once for all of a
+batch's OD-tied rows. The query router needs the full tied-group list of
+one query rather than a single resolved pick: ``tied_groups_after_wd``.
 """
 from __future__ import annotations
 
@@ -35,13 +35,10 @@ class AssignmentResult:
     ``gid`` — chosen group id per object (0 = fall-back ``G₀``; real groups
     are 1-based, matching the order of ``mask`` rows + 1).
     ``od`` — (B, C) OD matrix (diagnostics / router reuse).
-    ``tied`` — list of candidate-group-id arrays per object *after* the WD
-    tie-break (len 1 unless a second tie occurred; empty for fall-back).
     """
 
     gid: np.ndarray
     od: np.ndarray
-    tied: list
 
 
 def tied_groups_after_wd(
@@ -81,25 +78,26 @@ def assign_batch(
     B, m = S.shape
     od = od_matrix(S, mask)
     gid = np.full(B, FALLBACK_GID, dtype=np.int64)
-    tied: list = [None] * B
 
     best = od.min(axis=1)
-    overlap_rows = np.flatnonzero(best < m)
-    # Fast path: rows whose smallest OD is unique need no WD evaluation.
-    if overlap_rows.size:
-        counts = (od[overlap_rows] == best[overlap_rows, None]).sum(axis=1)
-        unique_rows = overlap_rows[counts == 1]
-        gid[unique_rows] = od[unique_rows].argmin(axis=1) + 1
-        for b in unique_rows:
-            tied[b] = np.array([gid[b]], dtype=np.int64)
-        for b in overlap_rows[counts > 1]:
-            cands = tied_groups_after_wd(S[b], od[b], mask, weights)
-            tied[b] = cands
-            if cands.size == 1:
-                gid[b] = cands[0]
-            else:
-                obj_seed = seed if ids is None else (seed * 1_000_003 + int(ids[b])) & 0x7FFFFFFF
-                gid[b] = int(np.random.default_rng(obj_seed).choice(cands))
-    for b in np.flatnonzero(best >= m):
-        tied[b] = np.empty(0, dtype=np.int64)
-    return AssignmentResult(gid=gid, od=od, tied=tied)
+    at_best = od == best[:, None]
+    n_best = at_best.sum(axis=1)
+    overlap = best < m
+    # Rows whose smallest OD is unique need no WD evaluation.
+    unique_rows = np.flatnonzero(overlap & (n_best == 1))
+    gid[unique_rows] = od[unique_rows].argmin(axis=1) + 1
+    # OD ties: one WD evaluation for all of them, non-minimal-OD centroids
+    # masked out.
+    tie_rows = np.flatnonzero(overlap & (n_best > 1))
+    if tie_rows.size:
+        wd = wd_matrix(S[tie_rows], mask, weights)
+        wd[~at_best[tie_rows]] = np.inf
+        at_wd_best = wd == wd.min(axis=1)[:, None]
+        resolved = at_wd_best.sum(axis=1) == 1
+        gid[tie_rows[resolved]] = wd[resolved].argmin(axis=1) + 1
+        # Still tied after WD: a uniform pick, seeded per object.
+        for i in np.flatnonzero(~resolved):
+            b = tie_rows[i]
+            obj_seed = seed if ids is None else (seed * 1_000_003 + int(ids[b])) & 0x7FFFFFFF
+            gid[b] = int(np.random.default_rng(obj_seed).choice(np.flatnonzero(at_wd_best[i]) + 1))
+    return AssignmentResult(gid=gid, od=od)

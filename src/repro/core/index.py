@@ -3,16 +3,18 @@
 Step 1  sample → PAA → random pivots → rank-sensitive signatures. The
         α-sample keeps the rows whose ``pmod(xxhash64(id, seed), 2²⁰)`` is
         below ``α·2²⁰``, so it depends on the ids alone, not on how the input
-        is split; its PAA matrix is collected to the driver and ordered by
-        id. Pivots are drawn from it, and the ``[(P⁴→, freq)]`` list is
-        counted from it in numpy (``np.unique``) — no second Spark job.
+        is split; only its ``(id, paa)`` leaves the executors
+        (`paa.sample_paa`), and the PAA matrix is ordered by id. Pivots are
+        drawn from it, and the ``[(P⁴→, freq)]`` list is counted from it in
+        numpy (``np.unique``) — no second Spark job.
 Step 2  Algorithm 2 on the rank-insensitive frequency list → centroids.
 Step 3  Algorithm 1 assignment of the sample, per-group tries, FFD packing
         → the index *skeleton* (driver-side, tiny).
 Step 4  full-dataset redistribution: the skeleton (pivots included) ships to
-        executors inside one ``mapInPandas`` closure (the paper's
+        executors inside one ``mapInArrow`` closure (the paper's
         broadcast), which maps each ``(id, series)`` straight to
-        ``(gid, pid, node)``; a ``repartition(pid)`` shuffle +
+        ``(gid, pid, node)``, passing the Arrow ``id`` and ``series``
+        arrays through untouched; a ``repartition(pid)`` shuffle +
         ``write.partitionBy("pid")`` produce the physical partitions, with
         records sorted by trie node so each node's records are contiguous
         (the paper's in-partition layout). Only ``id``, ``series``, ``gid``,
@@ -32,11 +34,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from .paa import with_paa
+from .paa import sample_paa, series_matrix
 from .pivots import select_pivots, signatures_np
 from .query import QueryPlan, route_adaptive, route_knn, route_od_smallest, timed_knn_scan
 from .skeleton import Skeleton, build_skeleton
@@ -150,22 +151,28 @@ def assign_partitions(df: DataFrame, sk: Skeleton) -> DataFrame:
 
     One pass per Arrow batch: signatures (`Skeleton.signatures`) and then
     Algorithm 1 + trie navigation (`Skeleton.assign_records`), with the
-    serialized skeleton captured in the task closure.
+    serialized skeleton captured in the task closure. The incoming ``id``
+    and ``series`` arrays are passed through as they are; only ``gid``,
+    ``pid`` and ``node`` are built.
     """
     blob = sk.serialize()
 
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def gen(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         local = Skeleton.deserialize(blob)
-        for pdf in batches:
-            if not len(pdf):
+        for batch in batches:
+            if not batch.num_rows:
                 continue
-            sig_rs, _ = local.signatures(np.stack(pdf["series"].to_numpy()))
-            pdf["gid"], pdf["pid"], pdf["node"] = local.assign_records(sig_rs, pdf["id"].to_numpy())
-            yield pdf
+            ids, series = batch.column("id"), batch.column("series")
+            sig_rs, _ = local.signatures(series_matrix(series))
+            gid, pid, node = local.assign_records(sig_rs, ids.to_numpy())
+            yield pa.RecordBatch.from_arrays(
+                [ids, series, pa.array(gid), pa.array(pid), pa.array(node, type=pa.string())],
+                names=["id", "series", "gid", "pid", "node"],
+            )
 
     df = df.select("id", "series")
     schema = ", ".join(f"{f.name} {f.dataType.simpleString()}" for f in df.schema.fields)
-    return df.mapInPandas(gen, schema=f"{schema}, gid long, pid long, node string")
+    return df.mapInArrow(gen, schema=f"{schema}, gid long, pid long, node string")
 
 
 def build_index(
@@ -180,15 +187,12 @@ def build_index(
 
     # -- Step 1: sample, PAA, pivots, sample signature frequencies -----------
     t0 = time.perf_counter()
-    scale = 1 << 20
-    keep = F.pmod(F.xxhash64("id", F.lit(params.seed)), F.lit(scale)) < F.lit(params.alpha * scale)
-    sample_pdf = with_paa(series_df.where(keep), params.w).select("id", "paa").toPandas()
-    if len(sample_pdf) < params.r:
+    P = sample_paa(series_df, params.w, params.alpha, params.seed)
+    if len(P) < params.r:
         raise ValueError(
-            f"sample of {len(sample_pdf)} rows < r={params.r} pivots; "
+            f"sample of {len(P)} rows < r={params.r} pivots; "
             "raise alpha or lower r"
         )
-    P = np.stack(sample_pdf.sort_values("id")["paa"].to_numpy())
     pivots = select_pivots(P, params.r, seed=params.seed)
     sigs, freqs = np.unique(signatures_np(P, pivots, params.m)[0], axis=0, return_counts=True)
     rs_freqs: List[Tuple[Tuple[int, ...], int]] = [

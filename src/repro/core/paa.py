@@ -10,17 +10,24 @@ Two forms are provided:
 * :func:`paa_np` — the vectorized numpy kernel (batch of series → batch of
   PAA vectors). This is the reference implementation used by tests and by
   driver-side query transformation.
-* :func:`with_paa` — the Spark operator: adds a ``paa`` column to a
-  DataFrame of ``(id, series)`` rows via ``mapInPandas`` so the kernel runs
-  Arrow-vectorized on executors.
+* :func:`with_paa` — the Spark operator: maps a DataFrame of
+  ``(id, series)`` rows to ``(id, paa)`` via ``mapInArrow`` so the kernel
+  runs on executors straight over the Arrow batches.
+
+:func:`series_matrix` is the one decoder of a stored ``series`` column: it
+views an Arrow ``list<double>`` array as a (rows × n) matrix without a
+per-row copy. Every executor kernel (PAA, the Step-4 assignment, the
+baselines' redistribution) reads its series through it. :func:`sample_paa`
+is Step 1's α-sample, shared by CLIMBER and the iSAX baselines.
 """
 from __future__ import annotations
 
 from typing import Iterator
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 from pyspark.sql.types import ArrayType, DoubleType, StructField, StructType
 
 
@@ -75,27 +82,67 @@ def znorm_np(series: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return (X - mu) / sd
 
 
-def _series_matrix(col: pd.Series) -> np.ndarray:
-    """Stack an Arrow list column (pandas Series of arrays) into a 2-D array."""
-    return np.stack(col.to_numpy())
+def series_matrix(col: pa.Array) -> np.ndarray:
+    """View an Arrow ``list<double>`` column as a (rows × n) float64 matrix.
+
+    No per-row copy: the result is a reshaped view of the list's child
+    values (read-only). Slice offsets are honoured, so a sliced array
+    decodes exactly its own rows. An empty array gives a (0 × 0) matrix.
+    Raises ``ValueError`` on a null series, a null reading, or series of
+    unequal length.
+    """
+    rows = len(col)
+    if col.null_count:
+        raise ValueError(f"null series: {col.null_count} of {rows} rows are null")
+    offsets = col.offsets.to_numpy()  # rows + 1 entries, not rebased by a slice
+    lengths = np.diff(offsets)
+    if rows and (lengths != lengths[0]).any():
+        raise ValueError(
+            f"ragged series: lengths range from {lengths.min()} to {lengths.max()}; "
+            "every series must have the same length"
+        )
+    values = col.flatten()  # exactly this slice's readings
+    if values.null_count:
+        raise ValueError(f"null readings: {values.null_count} values are null")
+    n = int(lengths[0]) if rows else 0
+    return np.asarray(values.to_numpy(zero_copy_only=False), dtype=np.float64).reshape(rows, n)
+
+
+def _list_column(M: np.ndarray) -> pa.ListArray:
+    """(rows × k) matrix → Arrow ``list<double>`` array, one row per list."""
+    rows, k = M.shape
+    offsets = pa.array(np.arange(0, rows * k + 1, k, dtype=np.int32))
+    return pa.ListArray.from_arrays(offsets, pa.array(M.ravel(), type=pa.float64()))
 
 
 def with_paa(df: DataFrame, w: int, *, series_col: str = "series", out_col: str = "paa") -> DataFrame:
-    """Spark operator: append a PAA column computed on executors.
+    """Spark operator: ``(id, series)`` → ``(id, out_col)``, PAA on executors.
 
-    The output schema is the input schema plus ``out_col: array<double>``.
+    Only the key and the PAA come back; the series stays behind.
     """
-    out_schema = StructType(df.schema.fields + [StructField(out_col, ArrayType(DoubleType()), False)])
+    out_schema = StructType([df.schema["id"], StructField(out_col, ArrayType(DoubleType()), False)])
 
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if len(pdf):
-                X = _series_matrix(pdf[series_col])
-                pdf = pdf.copy()
-                pdf[out_col] = list(paa_np(X, w))
-            else:
-                pdf = pdf.copy()
-                pdf[out_col] = []
-            yield pdf
+    def gen(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        for batch in batches:
+            if batch.num_rows:
+                P = paa_np(series_matrix(batch.column(series_col)), w)
+                yield pa.RecordBatch.from_arrays(
+                    [batch.column("id"), _list_column(P)], names=["id", out_col]
+                )
 
-    return df.mapInPandas(gen, schema=out_schema)
+    return df.select("id", series_col).mapInArrow(gen, schema=out_schema)
+
+
+def sample_paa(df: DataFrame, w: int, alpha: float, seed: int) -> np.ndarray:
+    """Step 1's α-sample: the (rows × w) PAA matrix of the sampled series.
+
+    A row is kept when ``pmod(xxhash64(id, seed), 2²⁰) < α·2²⁰``, so the
+    sample depends on the ids alone, not on how the input is split into
+    partitions; the rows come back ordered by id.
+    """
+    scale = 1 << 20
+    keep = F.pmod(F.xxhash64("id", F.lit(seed)), F.lit(scale)) < F.lit(alpha * scale)
+    pdf = with_paa(df.where(keep), w).toPandas()
+    if not len(pdf):
+        return np.empty((0, w))
+    return np.stack(pdf.sort_values("id")["paa"].to_numpy())

@@ -33,7 +33,7 @@ class TestExample1:
         mask, w, sigs = example1
         res = assign_batch(sigs[2:3], mask, w, ids=np.array([99]))
         assert res.gid[0] in (1, 2)
-        assert set(res.tied[0].tolist()) == {1, 2}
+        assert set(tied_groups_after_wd(sigs[2], res.od[0], mask, w).tolist()) == {1, 2}
 
     def test_Z_assignment_deterministic_per_id(self, example1):
         mask, w, sigs = example1
@@ -53,9 +53,10 @@ class TestExample1:
 class TestFallback:
     def test_zero_overlap_goes_to_G0(self, example1):
         mask, w, _ = example1
-        res = assign_batch(np.array([[7, 8, 9]]), mask, w)
+        sig = np.array([7, 8, 9])
+        res = assign_batch(sig[None], mask, w)
         assert res.gid[0] == FALLBACK_GID
-        assert res.tied[0].size == 0
+        assert tied_groups_after_wd(sig, res.od[0], mask, w).size == 0
 
     def test_mixed_batch(self, example1):
         mask, w, sigs = example1
@@ -119,18 +120,39 @@ class TestBatchSemantics:
                 )
         return np.asarray(out)
 
+    @staticmethod
+    def _case(seed, B, C, r=9, m=3):
+        rng = np.random.default_rng(seed)
+        sigs = np.stack([rng.choice(r, m, replace=False) for _ in range(B)])
+        cents = [tuple(sorted(rng.choice(r, m, replace=False))) for _ in range(C)]
+        return sigs, centroid_mask(cents, r), decay_weights(m, "exp", 0.5)
+
     @given(st.integers(0, 200))
     @settings(max_examples=25, deadline=None)
     def test_matches_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        r, m, B, C = 9, 3, 12, 4
-        sigs = np.stack([rng.choice(r, m, replace=False) for _ in range(B)])
-        cents = [tuple(sorted(rng.choice(r, m, replace=False))) for _ in range(C)]
-        mask = centroid_mask(cents, r)
-        w = decay_weights(m, "exp", 0.5)
-        ids = np.arange(B)
-        got = assign_batch(sigs, mask, w, ids=ids, seed=seed).gid
-        np.testing.assert_array_equal(got, self._reference(sigs, mask, w, ids, seed))
+        # 12 rows over 4 centroids, and a tie-heavy 200-row batch over 3.
+        for B, C in ((12, 4), (200, 3)):
+            sigs, mask, w = self._case(seed, B, C)
+            ids = np.arange(B)
+            got = assign_batch(sigs, mask, w, ids=ids, seed=seed).gid
+            np.testing.assert_array_equal(got, self._reference(sigs, mask, w, ids, seed))
+
+    def test_tie_heavy_batch_mixes_every_rule(self):
+        """One batch holds unique-OD, WD-resolved, random-tie and fall-back
+        rows, and every one matches the row-wise reference."""
+        sigs, mask, w = self._case(0, 200, 3)
+        m = sigs.shape[1]
+        od = od_matrix(sigs, mask)
+        cands = [tied_groups_after_wd(s, o, mask, w) for s, o in zip(sigs, od)]
+        n_best = (od == od.min(axis=1)[:, None]).sum(axis=1)
+        fallback = od.min(axis=1) >= m
+        unique = ~fallback & (n_best == 1)
+        wd_resolved = ~fallback & (n_best > 1) & np.array([c.size == 1 for c in cands])
+        random_tie = np.array([c.size > 1 for c in cands])
+        assert min(fallback.sum(), unique.sum(), wd_resolved.sum(), random_tie.sum()) > 0
+        ids = np.arange(200)
+        got = assign_batch(sigs, mask, w, ids=ids, seed=3).gid
+        np.testing.assert_array_equal(got, self._reference(sigs, mask, w, ids, 3))
 
     def test_batching_invariance(self):
         rng = np.random.default_rng(11)

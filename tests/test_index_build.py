@@ -184,3 +184,13 @@ class TestParamValidation:
         bad = ClimberParams(w=8, r=5000, m=4, capacity=100, alpha=0.01)
         with pytest.raises(ValueError, match="pivots"):
             build_index(spark, small_df, "/tmp/should-not-exist-idx", bad)
+
+    def test_short_series_raises(self, spark, small_df, climber_index, tmp_path):
+        """One series shorter than the rest: a clear error, not a numpy one,
+        from the build and from the Step-4 kernel alone."""
+        short = F.when(F.col("id") == 5, F.slice("series", 1, 40)).otherwise(F.col("series"))
+        df = small_df.withColumn("series", short)
+        with pytest.raises(Exception, match="ragged series"):
+            build_index(spark, df, str(tmp_path / "idx"), SMALL_PARAMS)
+        with pytest.raises(Exception, match="ragged series"):
+            assign_partitions(df, climber_index.skeleton).count()

@@ -1,11 +1,12 @@
 """PAA segmentation tests (paper §IV-B Step 1, Fig. 3)."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.paa import paa_np, segment_bounds, with_paa, znorm_np
+from repro.core.paa import paa_np, segment_bounds, series_matrix, with_paa, znorm_np
 from repro.oracle import assert_equivalent
 
 
@@ -90,6 +91,42 @@ class TestZnorm:
         np.testing.assert_allclose(znorm_np(znorm_np(x)), znorm_np(x), atol=1e-9)
 
 
+class TestSeriesMatrix:
+    @staticmethod
+    def _lists(rows):
+        return pa.array(rows, type=pa.list_(pa.float64()))
+
+    def test_decodes_rows(self):
+        X = np.random.default_rng(6).normal(size=(5, 7))
+        np.testing.assert_array_equal(series_matrix(self._lists(X.tolist())), X)
+
+    def test_zero_copy_view(self):
+        col = self._lists(np.arange(12.0).reshape(4, 3).tolist())
+        assert np.shares_memory(series_matrix(col), col.values.to_numpy())
+
+    def test_sliced_array_decodes_only_its_rows(self):
+        X = np.arange(30.0).reshape(6, 5)
+        col = self._lists(X.tolist()).slice(2, 3)
+        assert col.offset == 2
+        np.testing.assert_array_equal(series_matrix(col), X[2:5])
+
+    def test_empty_array(self):
+        M = series_matrix(self._lists([]))
+        assert M.shape[0] == 0 and M.dtype == np.float64
+
+    def test_ragged_raises(self):
+        with pytest.raises(ValueError, match="ragged series"):
+            series_matrix(self._lists([[1.0, 2.0, 3.0], [4.0, 5.0]]))
+
+    def test_null_series_raises(self):
+        with pytest.raises(ValueError, match="null series"):
+            series_matrix(self._lists([[1.0, 2.0], None, [3.0, 4.0]]))
+
+    def test_null_reading_raises(self):
+        with pytest.raises(ValueError, match="null readings"):
+            series_matrix(self._lists([[1.0, None], [3.0, 4.0]]))
+
+
 class TestWithPaaSpark:
     def test_matches_numpy(self, spark, small_df, small_matrix):
         pdf = with_paa(small_df, 8).orderBy("id").toPandas()
@@ -97,13 +134,18 @@ class TestWithPaaSpark:
         np.testing.assert_allclose(got, paa_np(small_matrix, 8), atol=1e-9)
 
     def test_schema_appended(self, small_df):
+        """Only the key and the PAA come back; the series stays behind."""
         df = with_paa(small_df, 4, out_col="mypaa")
-        assert "mypaa" in df.columns and "series" in df.columns
+        assert df.columns == ["id", "mypaa"]
+
+    def test_empty_input(self, small_df):
+        assert with_paa(small_df.limit(0), 4).count() == 0
 
     def test_oracle_segment_means(self, spark, small_df):
         """DuckDB oracle: PAA segment means == SQL AVG over exploded points."""
-        out = with_paa(small_df.limit(50), 4)
-        pdf = out.toPandas()
+        src = small_df.orderBy("id").limit(50)
+        pdf = src.join(with_paa(src, 4), "id").toPandas()
+        assert len(pdf) == 50
         long_rows = []
         for _, row in pdf.iterrows():
             for j, v in enumerate(row["series"]):
