@@ -2,16 +2,17 @@
 
 These are the per-record costs that Fig. 10(a) attributes the build-time
 growth to ("pivot-based conversions and comparisons"); measured here as
-pure numpy kernels over a 10k×256 batch. The Arrow series decode and
-Algorithm 1 on a tie-heavy batch are here too, so a regression in the
-build's executor kernels shows without a Spark run.
+pure numpy kernels over a 10k×256 batch. The Arrow series decode,
+Algorithm 1 on a tie-heavy batch and the exact top-K of the query scans
+are here too, so a regression in the executor kernels shows without a
+Spark run.
 """
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from repro.core.assignment import assign_batch
-from repro.core.distances import centroid_mask, decay_weights, ed_np, od_matrix, wd_matrix
+from repro.core.distances import centroid_mask, decay_weights, ed_np, od_matrix, topk, wd_matrix
 from repro.core.paa import paa_np, series_matrix, znorm_np
 from repro.core.pivots import signatures_np
 
@@ -68,6 +69,18 @@ def test_ed_refinement_kernel(benchmark, batch):
     X, *_ = batch
     Q = X[:8]
     benchmark(ed_np, X, Q)
+
+
+def test_topk_scan_shape(benchmark, batch):
+    """Exact top-K of one CLIMBER scan batch: 4 000 rows, one query, K=50."""
+    X, *_ = batch
+    benchmark(topk, X[:4000], np.arange(4000), X[-1], 50)
+
+
+def test_topk_dss_shape(benchmark):
+    """Exact top-K of one Dss / Odyssey batch: 20 000 rows, 50 queries, K=50."""
+    X = np.cumsum(np.random.default_rng(2).normal(size=(20_000, N)), axis=1)
+    benchmark(topk, X, np.arange(len(X)), X[:50], 50)
 
 
 @pytest.fixture(scope="module")

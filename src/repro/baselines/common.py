@@ -27,7 +27,7 @@ import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.paa import paa_np, sample_paa, series_matrix, znorm_np
-from ..core.query import QueryPlan, timed_knn_scan
+from ..core.query import QueryPlan, timed_knn
 from .isax import MAX_BITS, isax_symbols
 
 
@@ -77,8 +77,7 @@ class BaselineIndex:
 
     def knn_batch(self, spark: SparkSession, queries: np.ndarray, k: int):
         """Route each query to its single partition and scan (one Spark job)."""
-        Q = np.atleast_2d(queries)
-        return timed_knn_scan(spark, self.data_path, self.plans(Q), Q, k, self.pid_counts)
+        return timed_knn(spark, self.data_path, self.plans, queries, k, self.pid_counts)
 
 
 def redistribute(

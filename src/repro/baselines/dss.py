@@ -2,8 +2,10 @@
 
 The vanilla full-scan baseline: every partition is scanned in parallel,
 each task computes vectorized Euclidean distances for the whole query
-batch and emits a per-partition partial top-K; the driver merges partials
-into the global exact top-K. Dss produces the *exact* answer set and is
+batch and emits each batch's exact top-K (`distances.topk`); the driver
+merges partials into the global exact top-K by ``(dist, id)``
+(`distances.merge_topk`), so the answer does not depend on how the rows
+are partitioned. Dss produces the *exact* answer set and is
 therefore also the ground truth against which every approximate system's
 recall (Def. 4) is measured.
 """
@@ -16,17 +18,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from ..core.distances import ed_np
+from ..core.distances import merge_topk, topk
 
 
-def dss_knn(
-    series_df: DataFrame,
-    queries: np.ndarray,
-    k: int,
-    *,
-    id_col: str = "id",
-    series_col: str = "series",
-) -> Dict[int, List[Tuple[int, float]]]:
+def dss_knn(series_df: DataFrame, queries: np.ndarray, k: int) -> Dict[int, List[Tuple[int, float]]]:
     """Exact kNN for a batch of queries via one full-scan Spark job."""
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     sc = series_df.sparkSession.sparkContext
@@ -34,30 +29,19 @@ def dss_knn(
 
     def scan(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         state = bc.value
-        Qm, kk = state["Q"], state["k"]
         for pdf in batches:
-            if not len(pdf):
-                continue
-            X = np.stack(pdf[series_col].to_numpy())
-            ids = pdf[id_col].to_numpy()
-            d = ed_np(X, Qm)  # (B, Qn)
-            top = np.argsort(d, axis=0, kind="stable")[: min(kk, d.shape[0])]
-            out = {
-                "qid": np.repeat(np.arange(Qm.shape[0]), top.shape[0]),
-                "nid": ids[top].T.ravel(),
-                "dist": np.take_along_axis(d, top, axis=0).T.ravel(),
-            }
-            yield pd.DataFrame(out)
+            if len(pdf):
+                X = np.stack(pdf["series"].to_numpy())
+                qid, nid, dist = topk(X, pdf["id"].to_numpy(), state["Q"], state["k"])
+                yield pd.DataFrame({"qid": qid, "nid": nid, "dist": dist})
 
     partials = (
-        series_df.select(id_col, series_col)
+        series_df.select("id", "series")
         .mapInPandas(scan, schema="qid long, nid long, dist double")
         .toPandas()
     )
     results: Dict[int, List[Tuple[int, float]]] = {q: [] for q in range(Q.shape[0])}
-    for qid, grp in partials.groupby("qid"):
-        best = grp.nsmallest(k, "dist")
-        results[int(qid)] = list(zip(best["nid"].astype(int), best["dist"].astype(float)))
+    results.update(merge_topk(partials["qid"], partials["nid"], partials["dist"], k))
     return results
 
 

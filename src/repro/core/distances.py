@@ -11,8 +11,13 @@ The metrics here are the glue between the two signature spaces:
 * :func:`weight_distance` (Def. 11) compares a rank-sensitive signature
   against a rank-insensitive centroid — the tie-break metric of
   Algorithm 1 and Algorithm 3.
-* :func:`ed_np` (Def. 3) is the raw Euclidean distance used for the final
-  record-level refinement.
+* :func:`ed_np` (Def. 3) is the Gram-form ED ``sqrt(‖x‖²+‖q‖²−2x·q)``; its
+  rounding depends on the BLAS call's shape, so it only *selects*.
+* :func:`topk` — the one exact record-level top-K, used by the CLIMBER
+  scan, Dss and Odyssey — re-scores the selected rows in the direct form
+  ``sqrt(Σ(x−q)²)`` and orders them by ``(dist, id)``; :func:`merge_topk`
+  merges partial answers in the same order. So no answer depends on batch,
+  chunk or partition boundaries.
 
 Matrix forms (``od_matrix`` / ``wd_matrix``) evaluate one metric for a
 whole batch of signatures against all centroids at once; they are what the
@@ -20,11 +25,13 @@ Spark assignment kernel and the query router call.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 DECAY_KINDS = ("exp", "linear")
+# Gram-selected candidates per query beyond k that `topk` re-scores.
+MARGIN = 64
 
 
 def overlap_distance(sig_a: Sequence[int], sig_b: Sequence[int]) -> int:
@@ -124,3 +131,56 @@ def ed_np(batch: np.ndarray, query: np.ndarray) -> np.ndarray:
     np.maximum(d2, 0.0, out=d2)
     d = np.sqrt(d2)
     return d[:, 0] if single else d
+
+
+def _direct_ed(batch: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Direct-form ED ``sqrt(Σ(x−q)²)`` of each row of ``batch`` to one query."""
+    diff = batch - query
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def topk(batch: np.ndarray, ids: np.ndarray, query: np.ndarray, k: int) -> Tuple[np.ndarray, ...]:
+    """Exact top-``k`` rows of ``batch`` (B, n) per query, ordered by ``(dist, id)``.
+
+    ``ids`` — (B,); ``query`` — (n,) or (Q, n). Returns flat ``(query row,
+    id, dist)`` arrays, query by query; ``dist`` is the direct-form ED, NaN
+    (ranked last) for a row with a NaN reading. :func:`ed_np` selects
+    ``k + MARGIN`` candidates per query and only those are re-scored,
+    unless the excluded rows' Gram ``d²`` is not safely beyond the k-th
+    direct ``d²``: then every row is.
+    """
+    X = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    ids = np.asarray(ids)
+    Q = np.atleast_2d(np.asarray(query, dtype=np.float64))
+    k = min(int(k), len(ids))
+    select = k + MARGIN < len(ids)
+    if select:
+        d = ed_np(X, Q)  # (B, Q)
+        cand = np.argpartition(d, k + MARGIN - 1, axis=0)[: k + MARGIN]
+        # No excluded row's Gram d² is below the largest selected one.
+        bound = np.take_along_axis(d, cand, axis=0).max(axis=0) ** 2
+    parts = []
+    for j, q in enumerate(Q if k > 0 else ()):
+        rows = cand[:, j] if select else slice(None)
+        dist = _direct_ed(X[rows], q)
+        top = np.lexsort((ids[rows], dist))[:k]
+        # Gram rounding grows with ‖x‖² + ‖q‖² ≤ 2d² + 3‖q‖².
+        if select and not bound[j] - dist[top[-1]] ** 2 > 1e-9 * (bound[j] + q @ q):
+            rows, dist = slice(None), _direct_ed(X, q)
+            top = np.lexsort((ids, dist))[:k]
+        parts.append((np.full(len(top), j), ids[rows][top], dist[top]))
+    if not parts:
+        return np.empty(0, dtype=np.int64), ids[:0], np.empty(0)
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def merge_topk(qid: np.ndarray, nid: np.ndarray, dist: np.ndarray, k: int) -> Dict[int, List]:
+    """Each query's top-``k`` of flat partial answers by ``(dist, id)``, in one
+    ``lexsort``: ``{query id: [(id, dist)]}`` for every query id present."""
+    order = np.lexsort((nid, dist, qid))
+    q = np.asarray(qid)[order]
+    keep = order[np.arange(len(q)) - np.searchsorted(q, q) < k]  # each query's first k
+    out: Dict[int, List[Tuple[int, float]]] = {}
+    for qi, ni, di in zip(*(np.asarray(a)[keep].tolist() for a in (qid, nid, dist))):
+        out.setdefault(qi, []).append((ni, di))
+    return out

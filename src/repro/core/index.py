@@ -39,7 +39,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from .paa import sample_paa, series_matrix
 from .pivots import select_pivots, signatures_np
-from .query import QueryPlan, route_adaptive, route_knn, route_od_smallest, timed_knn_scan
+from .query import QueryPlan, route_adaptive, route_knn, route_od_smallest, timed_knn
 from .skeleton import Skeleton, build_skeleton
 
 
@@ -112,12 +112,12 @@ class ClimberIndex:
     def knn_batch(
         self, spark: SparkSession, queries: np.ndarray, k: int, *, variant: str = "adaptive-4x"
     ):
-        """Plan + execute a batch of queries; returns (results, stats)."""
-        plans = {
-            qid: self.plan(np.asarray(q, dtype=np.float64), k, variant=variant, qid=qid)
-            for qid, q in enumerate(np.atleast_2d(queries))
-        }
-        return timed_knn_scan(spark, self.data_path, plans, np.atleast_2d(queries), k, self.pid_counts)
+        """Plan + execute a batch of queries; returns (results, stats), with
+        routing inside ``stats.seconds``."""
+        def planner(Q):
+            return {i: self.plan(q, k, variant=variant, qid=i) for i, q in enumerate(Q)}
+
+        return timed_knn(spark, self.data_path, planner, queries, k, self.pid_counts)
 
     # ---- persistence ----
 

@@ -18,8 +18,11 @@ per-query plans are broadcast; the parquet read is pruned to the union of
 planned partitions; a ``mapInPandas`` kernel computes vectorized ED for
 the rows each plan selects (trie-node prefix filter, with full-partition
 expansion when the node holds < K records — §VI "Localized Record-Level
-Similarity") and emits per-partition partial top-K; the driver merges
-partials into the final top-K per query.
+Similarity") and emits each batch's exact top-K per query
+(`distances.topk`); the driver merges the partials by ``(dist, id)``
+(`distances.merge_topk`), so the answer does not depend on how the rows
+are split into batches or partitions. :func:`timed_knn` routes and scans
+a batch under one clock.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from .assignment import FALLBACK_GID, tied_groups_after_wd
-from .distances import ed_np, od_matrix
+from .distances import merge_topk, od_matrix, topk
 from .skeleton import Skeleton
 from .trie import TrieNode, navigate
 
@@ -54,40 +57,42 @@ class QueryPlan:
         return len(self.pids)
 
 
-def _candidate_groups(sk: Skeleton, sig_rs: np.ndarray, sig_ri: np.ndarray) -> List[int]:
+def _signatures(sk: Skeleton, series: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The query's rank-sensitive signature and its OD to every real centroid."""
+    sig_rs, sig_ri = sk.signatures(series[None, :])
+    return sig_rs[0], od_matrix(sig_ri, sk.mask)[0]
+
+
+def _candidate_groups(sk: Skeleton, sig_rs: np.ndarray, od: np.ndarray) -> List[int]:
     """Algorithm 3 lines 5–9: groups with smallest OD, WD tie-broken."""
-    real_gids = [g for g in sorted(sk.groups) if g != FALLBACK_GID]
-    if not real_gids:
-        return [FALLBACK_GID]
-    od = od_matrix(sig_ri[None, :], sk.mask)[0]
-    cands = tied_groups_after_wd(sig_rs, od, sk.mask, sk.weights)
-    if cands.size == 0:
-        return [FALLBACK_GID]
-    return [int(c) for c in cands]
+    cands = tied_groups_after_wd(sig_rs, od, sk.mask, sk.weights) if od.size else []
+    return [int(c) for c in cands] or [FALLBACK_GID]
 
 
-def _groups_at_min_od(sk: Skeleton, sig_ri: np.ndarray) -> List[int]:
+def _groups_at_min_od(sk: Skeleton, od: np.ndarray) -> List[int]:
     """All groups sharing the smallest OD (no WD tie-break) — OD-Smallest."""
-    real_gids = [g for g in sorted(sk.groups) if g != FALLBACK_GID]
-    if not real_gids:
-        return [FALLBACK_GID]
-    od = od_matrix(sig_ri[None, :], sk.mask)[0]
-    if od.min() >= sk.m:
+    if not od.size or od.min() >= sk.m:
         return [FALLBACK_GID]
     return [int(i) + 1 for i in np.flatnonzero(od == od.min())]
 
 
-def route_knn(sk: Skeleton, series: np.ndarray, k: int, *, qid: int = 0) -> QueryPlan:
-    """Algorithm 3 for one raw query series."""
-    sig_rs, sig_ri = sk.signatures(series[None, :])
-    sig_rs, sig_ri = sig_rs[0], sig_ri[0]
-    cands = _candidate_groups(sk, sig_rs, sig_ri)
+def _chain(root: TrieNode, sig_rs: np.ndarray) -> List[TrieNode]:
+    """The nodes `navigate` passes through, deepest first, root last."""
+    chain = [root]
+    for pivot in sig_rs:
+        child = chain[-1].children.get(int(pivot))
+        if child is None:
+            break
+        chain.append(child)
+    return chain[::-1]
+
+
+def _route_knn(sk: Skeleton, sig_rs: np.ndarray, od: np.ndarray, k: int, qid: int) -> QueryPlan:
+    """Algorithm 3 for a query's precomputed signature and centroid ODs."""
+    cands = _candidate_groups(sk, sig_rs, od)
     # Lines 10–19: traverse each candidate group's trie, prefer the longest
     # matched path, then the largest node, then a seeded random pick.
-    best: List[Tuple[int, TrieNode]] = []
-    for g in cands:
-        node = navigate(sk.groups[g].trie, sig_rs)
-        best.append((g, node))
+    best: List[Tuple[int, TrieNode]] = [(g, navigate(sk.groups[g].trie, sig_rs)) for g in cands]
     if len(best) > 1:
         max_len = max(n.depth() for _, n in best)
         best = [(g, n) for g, n in best if n.depth() == max_len]
@@ -105,6 +110,11 @@ def route_knn(sk: Skeleton, series: np.ndarray, k: int, *, qid: int = 0) -> Quer
         pids=tuple(sorted(node.pids)), prefixes=(node.path,), expand_full=expand,
         gid=gid, node_path=node.path, node_count=node.count,
     )
+
+
+def route_knn(sk: Skeleton, series: np.ndarray, k: int, *, qid: int = 0) -> QueryPlan:
+    """Algorithm 3 for one raw query series."""
+    return _route_knn(sk, *_signatures(sk, series), k, qid)
 
 
 def route_adaptive(
@@ -127,49 +137,30 @@ def route_adaptive(
     partition count (the ``MaxNumPartitions`` cap), and evaluates every
     record of the partitions it loads.
     """
-    base = route_knn(sk, series, k, qid=qid)
-    sig_rs, sig_ri = sk.signatures(series[None, :])
-    sig_rs, sig_ri = sig_rs[0], sig_ri[0]
-    groups = _groups_at_min_od(sk, sig_ri)
-    od = od_matrix(sig_ri[None, :], sk.mask)[0] if sk.mask.size else np.empty(0)
+    sig_rs, od = _signatures(sk, series)
+    base = _route_knn(sk, sig_rs, od, k, qid)
 
     # Memorized candidates: the matched ancestor chain (deepest node first,
     # up to the group root) of every tied group — the "longest and 2nd
     # longest best matches" of §VI, generalized to the full chain so the
     # NX partition budget, not the memo depth, is the binding constraint.
     cands: List[Tuple[int, int, float, int, TrieNode]] = []  # sort key + node
-    for g in groups:
-        trie = sk.groups[g].trie
-        node = navigate(trie, sig_rs)
-        chain = [node]
-        while chain[-1].path:
-            parent_path = chain[-1].path.rsplit("/", 1)[0] if "/" in chain[-1].path else ""
-            parent = navigate(trie, [int(p) for p in parent_path.split("/")] if parent_path else [])
-            chain.append(parent)
-        g_od = int(od[g - 1]) if g != FALLBACK_GID and od.size else sk.m
-        for n in chain:
-            cands.append((g_od, -n.depth(), -n.count, g, n))
-    cands.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
+    for g in _groups_at_min_od(sk, od):
+        g_od = int(od[g - 1]) if g != FALLBACK_GID else sk.m
+        cands += [(g_od, -n.depth(), -n.count, g, n) for n in _chain(sk.groups[g].trie, sig_rs)]
+    cands.sort(key=lambda t: t[:4])
 
     max_parts = max(base.n_partitions, factor * max(1, base.n_partitions))
-    pids: List[int] = list(base.pids)
-    prefixes: List[str] = list(base.prefixes)
-    covered = base.node_count
-    for _, _, _, g, n in cands:
-        new_pids = [p for p in sorted(n.pids) if p not in pids]
-        if len(pids) + len(new_pids) > max_parts:
-            continue
-        if n.path in prefixes and not new_pids:
-            continue
-        pids.extend(new_pids)
-        if n.path not in prefixes:
-            prefixes.append(n.path)
-            covered += n.count
+    pids = set(base.pids)
+    for *_, n in cands:
+        new_pids = n.pids - pids
+        if len(pids) + len(new_pids) <= max_parts:
+            pids |= new_pids
     # Expansion already paid the I/O for these partitions; evaluating every
     # loaded record (not just the memorized subtrees) is the paper's
     # "expands the search within the same partition" at zero extra I/O.
     return QueryPlan(
-        pids=tuple(sorted(set(pids))), prefixes=("",),
+        pids=tuple(sorted(pids)), prefixes=("",),
         expand_full=True, gid=base.gid, node_path=base.node_path,
         node_count=base.node_count,
     )
@@ -177,15 +168,11 @@ def route_adaptive(
 
 def route_od_smallest(sk: Skeleton, series: np.ndarray, k: int, *, qid: int = 0) -> QueryPlan:
     """Scan every partition of every smallest-OD group (Fig. 11(b) reference)."""
-    sig_rs, sig_ri = sk.signatures(series[None, :])
-    groups = _groups_at_min_od(sk, sig_ri[0])
-    pids: set = set()
-    for g in groups:
-        pids |= set(sk.groups[g].trie.pids)
-    gid = groups[0]
+    groups = _groups_at_min_od(sk, _signatures(sk, series)[1])
+    pids = frozenset().union(*(sk.groups[g].trie.pids for g in groups))
     return QueryPlan(
         pids=tuple(sorted(pids)), prefixes=("",), expand_full=True,
-        gid=gid, node_path="", node_count=float("nan"),
+        gid=groups[0], node_path="", node_count=float("nan"),
     )
 
 
@@ -212,9 +199,6 @@ def knn_scan(
     plans: Dict[int, QueryPlan],
     queries: np.ndarray,
     k: int,
-    *,
-    id_col: str = "id",
-    series_col: str = "series",
 ) -> Dict[int, List[Tuple[int, float]]]:
     """Execute a batch of planned kNN scans in a single Spark job.
 
@@ -235,7 +219,7 @@ def knn_scan(
     df = (
         spark.read.parquet(data_path)
         .where(F.col("pid").isin([int(p) for p in all_pids]))
-        .select(id_col, series_col, "node", "pid")
+        .select("id", "series", "node", "pid")
     )
 
     def scan(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -244,32 +228,26 @@ def knn_scan(
         for pdf in batches:
             if not len(pdf):
                 continue
-            X = np.stack(pdf[series_col].to_numpy())
-            ids = pdf[id_col].to_numpy()
+            X = np.stack(pdf["series"].to_numpy())
+            ids = pdf["id"].to_numpy()
             pids_here = set(pdf["pid"].unique().tolist())
-            out_q, out_id, out_d = [], [], []
+            hits = []
             for qid, (pids, prefixes, expand) in plan_map.items():
                 if not (pids & pids_here):
                     continue
                 rows = pdf["pid"].isin(list(pids)).to_numpy()
                 if not expand:
                     rows &= _prefix_mask(pdf["node"], prefixes)
-                if not rows.any():
-                    continue
-                d = ed_np(X[rows], Q[qid])
-                top = np.argsort(d, kind="stable")[:kk]
-                out_q.extend([qid] * len(top))
-                out_id.extend(ids[rows][top].tolist())
-                out_d.extend(d[top].tolist())
-            if out_q:
-                yield pd.DataFrame({"qid": out_q, "nid": out_id, "dist": out_d})
+                if rows.any():
+                    hits.append((qid, *topk(X[rows], ids[rows], Q[qid], kk)[1:]))
+            if hits:
+                qids, nid, dist = zip(*hits)
+                yield pd.DataFrame({"qid": np.repeat(qids, [len(n) for n in nid]),
+                                    "nid": np.concatenate(nid), "dist": np.concatenate(dist)})
 
     partials = df.mapInPandas(scan, schema="qid long, nid long, dist double").toPandas()
     results: Dict[int, List[Tuple[int, float]]] = {q: [] for q in plans}
-    if len(partials):
-        for qid, grp in partials.groupby("qid"):
-            top = grp.nsmallest(k, "dist")
-            results[int(qid)] = list(zip(top["nid"].astype(int), top["dist"].astype(float)))
+    results.update(merge_topk(partials["qid"], partials["nid"], partials["dist"], k))
     return results
 
 
@@ -282,13 +260,15 @@ class QueryStats:
     rows_scanned: Dict[int, int] = field(default_factory=dict)
 
 
-def timed_knn_scan(spark, data_path, plans, queries, k, pid_counts=None):
-    """:func:`knn_scan` plus wall-clock + data-touched accounting."""
+def timed_knn(spark, data_path, planner, queries, k, pid_counts):
+    """Route (``planner(Q) → {qid: QueryPlan}``) and :func:`knn_scan` a batch
+    under one clock; returns ``(results, QueryStats)``."""
     t0 = time.perf_counter()
-    res = knn_scan(spark, data_path, plans, queries, k)
+    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    plans = planner(Q)
+    res = knn_scan(spark, data_path, plans, Q, k)
     stats = QueryStats(seconds=time.perf_counter() - t0)
     for qid, pl in plans.items():
         stats.partitions_touched[qid] = pl.n_partitions
-        if pid_counts:
-            stats.rows_scanned[qid] = int(sum(pid_counts.get(p, 0) for p in pl.pids))
+        stats.rows_scanned[qid] = int(sum(pid_counts.get(p, 0) for p in pl.pids))
     return res, stats

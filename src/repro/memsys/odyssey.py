@@ -10,7 +10,9 @@ I measures:
 * **Q.R.T** — exact batched kNN over the memory-resident matrix,
   vectorized across cores by numpy (the engine's parallel scan with
   lower-bound pruning is simulated by a chunked exact scan — same answers,
-  same "fast while it fits in memory" profile);
+  same "fast while it fits in memory" profile); each chunk's top-K and
+  their merge use the shared `distances.topk` / `merge_topk`, so the
+  answer does not depend on the chunk size;
 * **R.R = 1.0** — exact by construction;
 * the hard capacity wall: a configurable memory budget raises
   :class:`CapacityExceeded` when the dataset does not fit, reproducing the
@@ -25,6 +27,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..core.distances import merge_topk, topk
 from ..core.paa import paa_np
 from ..baselines.isax import MAX_BITS, coarsen, isax_symbols, word_key
 
@@ -61,26 +64,10 @@ class OdysseyEngine:
         self.build_s = time.perf_counter() - t0
 
     def knn_batch(self, Q: np.ndarray, k: int, chunk: int = 8192) -> Dict[int, List[Tuple[int, float]]]:
-        """Exact kNN for a query batch (chunked vectorized scan)."""
+        """Exact kNN for a query batch: `topk` per chunk, one `merge_topk`."""
         assert self.X is not None, "build() first"
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-        nq = Q.shape[0]
-        best_d = np.full((nq, 0), np.inf)
-        best_i = np.empty((nq, 0), dtype=np.int64)
-        q2 = (Q * Q).sum(axis=1)
-        for lo in range(0, self.X.shape[0], chunk):
-            B = self.X[lo : lo + chunk]
-            d2 = q2[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (Q @ B.T)
-            np.maximum(d2, 0.0, out=d2)
-            d = np.sqrt(d2)
-            cat_d = np.concatenate([best_d, d], axis=1)
-            cat_i = np.concatenate(
-                [best_i, np.broadcast_to(np.arange(lo, lo + B.shape[0]), (nq, B.shape[0]))], axis=1
-            )
-            keep = np.argsort(cat_d, axis=1, kind="stable")[:, :k]
-            best_d = np.take_along_axis(cat_d, keep, axis=1)
-            best_i = np.take_along_axis(cat_i, keep, axis=1)
-        return {
-            q: [(int(self.ids[i]), float(d)) for i, d in zip(best_i[q], best_d[q])]
-            for q in range(nq)
-        }
+        parts = [topk(self.X[lo:lo + chunk], self.ids[lo:lo + chunk], Q, k)
+                 for lo in range(0, self.X.shape[0], chunk)]
+        res = merge_topk(*(np.concatenate(a) for a in zip(*parts)), k)
+        return {q: res.get(q, []) for q in range(Q.shape[0])}

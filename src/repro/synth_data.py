@@ -94,23 +94,6 @@ def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFra
     return spark.createDataFrame(pdf)
 
 
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )
-
-
 # ---------------------------------------------------------------------------
 # Data-series datasets for the CLIMBER reproduction (paper §VII-A).
 #
@@ -149,13 +132,6 @@ def _series_df(spark: SparkSession, n: int, make_batch, partitions: int | None =
             yield pd.DataFrame({"id": ids, "series": list(X)})
 
     return spark.range(0, n, numPartitions=parts).mapInPandas(gen, schema=SERIES_SCHEMA)
-
-
-def _batch_rng(ids: np.ndarray, seed: int) -> np.random.Generator:
-    # One Philox stream keyed on (seed, first id of the batch) would make
-    # rows depend on batching; instead we derive an independent stream per
-    # row id so the dataset is identical under any partitioning.
-    return np.random.default_rng(np.random.SeedSequence([seed, int(ids[0]), len(ids)]))
 
 
 def _per_row_normals(ids: np.ndarray, length: int, seed: int) -> np.ndarray:

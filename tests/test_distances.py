@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distances import (
+    MARGIN,
     centroid_mask,
     decay_weights,
     ed_np,
+    merge_topk,
     od_matrix,
     overlap_distance,
+    topk,
     total_weight,
     wd_matrix,
     weight_distance,
@@ -163,3 +166,123 @@ class TestEuclidean:
         bc = ed_np(b[None], c)[0]
         ac = ed_np(a[None], c)[0]
         assert ac <= ab + bc + 1e-9
+
+
+def direct_ed(X, q):
+    diff = X - q
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def brute_topk(X, ids, q, k):
+    """Reference answer: every row in the direct form, ordered by (dist, id)."""
+    d = direct_ed(X, q)
+    top = np.lexsort((ids, d))[:k]
+    return ids[top].tolist(), d[top].tolist()
+
+
+class TestTopK:
+    def test_matches_brute_force_per_query(self):
+        rng = np.random.default_rng(11)
+        X, Q = rng.normal(size=(500, 24)), rng.normal(size=(3, 24))
+        ids = rng.permutation(500) + 7
+        qrow, nid, d = topk(X, ids, Q, 20)
+        assert qrow.tolist() == sorted(qrow.tolist()) and len(qrow) == 60
+        for j in range(3):
+            assert (nid[qrow == j].tolist(), d[qrow == j].tolist()) == brute_topk(X, ids, Q[j], 20)
+
+    def test_single_query_shape(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(300, 8))
+        qrow, nid, d = topk(X, np.arange(300), X[4], 5)
+        assert set(qrow.tolist()) == {0}
+        assert nid[0] == 4 and d[0] == 0.0
+
+    def test_duplicate_rows_tied_at_kth_take_smaller_id(self):
+        rng = np.random.default_rng(13)
+        X, q, k = rng.normal(size=(300, 16)), rng.normal(size=16), 10
+        assert k + MARGIN < len(X)  # the Gram selection path
+        order = np.argsort(direct_ed(X, q))
+        X[order[k]] = X[order[k - 1]]  # the (k+1)-th is now a copy of the k-th
+        ids = np.arange(300) + 10
+        ids[order[k]], ids[order[k - 1]] = 1, 2  # the copy has the smaller id
+        _, nid, d = topk(X, ids, q, k)
+        assert nid[-1] == 1 and 2 not in nid.tolist()
+        assert d[-1] == direct_ed(X[order[k - 1]][None], q)[0]
+        assert (nid.tolist(), d.tolist()) == brute_topk(X, ids, q, k)
+
+    def test_k_larger_than_rows_returns_every_row_sorted(self):
+        rng = np.random.default_rng(14)
+        X, q = rng.normal(size=(30, 8)), rng.normal(size=8)
+        ids = rng.permutation(30)
+        _, nid, d = topk(X, ids, q, 100)
+        assert sorted(nid.tolist()) == list(range(30))
+        assert (nid.tolist(), d.tolist()) == brute_topk(X, ids, q, 30)
+
+    def test_empty_batch_returns_nothing(self):
+        qrow, nid, d = topk(np.empty((0, 8)), np.empty(0, dtype=np.int64), np.zeros((2, 8)), 5)
+        assert len(qrow) == len(nid) == len(d) == 0
+        assert merge_topk(qrow, nid, d, 5) == {}
+
+    def test_identical_rows_trigger_full_direct_guard(self):
+        # All 200 rows tie, so the Gram pre-selection of k + MARGIN rows
+        # (which ignores ids) cannot be trusted: the answer must still be the
+        # 50 smallest ids, which only a full direct re-score finds.
+        rng = np.random.default_rng(15)
+        X = np.tile(rng.normal(size=32), (200, 1))
+        ids = rng.permutation(200)
+        q = rng.normal(size=32)
+        assert 50 + MARGIN < 200
+        _, nid, d = topk(X, ids, q, 50)
+        assert nid.tolist() == list(range(50))
+        assert (nid.tolist(), d.tolist()) == brute_topk(X, ids, q, 50)
+
+    @pytest.mark.parametrize("rows, k", [(300, 10), (20, 20)])
+    def test_nan_row_never_ahead_of_finite(self, rows, k):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(rows, 12))
+        q = X[3].copy()
+        X[3, 5] = np.nan  # otherwise the exact match
+        _, nid, d = topk(X, np.arange(rows), q, k)
+        finite = np.isfinite(d)
+        assert finite[:finite.sum()].all()  # NaNs only at the tail
+        if k < rows:
+            assert 3 not in nid.tolist()
+        else:
+            assert nid[-1] == 3 and np.isnan(d[-1])
+
+    def test_constant_series_finite(self):
+        X = np.repeat(np.arange(150, dtype=np.float64)[:, None], 16, axis=1)
+        q = np.full(16, 7.0)
+        _, nid, d = topk(X, np.arange(150), q, 5)
+        assert np.isfinite(d).all()
+        assert nid.tolist() == [7, 6, 8, 5, 9]
+        np.testing.assert_allclose(d, [0, 4, 4, 8, 8])
+
+    @given(st.integers(1, 400), st.integers(1, 40), st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_chunked_then_merged_equals_whole(self, chunk, k, seed):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(400, 8)), 1)  # coarse values: many ties
+        X[rng.integers(400, size=40)] = X[rng.integers(400, size=40)]
+        Q, ids = X[:3] + 0.05, rng.permutation(400)
+        whole = merge_topk(*topk(X, ids, Q, k), k)
+        parts = [topk(X[lo:lo + chunk], ids[lo:lo + chunk], Q, k) for lo in range(0, 400, chunk)]
+        assert merge_topk(*(np.concatenate(a) for a in zip(*parts)), k) == whole
+        for j in range(3):
+            assert whole[j] == list(zip(*brute_topk(X, ids, Q[j], k)))
+
+
+class TestMergeTopK:
+    def test_orders_by_dist_then_id_and_cuts_at_k(self):
+        qid = np.array([1, 0, 1, 1, 0, 1])
+        nid = np.array([9, 4, 3, 5, 2, 7])
+        dist = np.array([0.5, 1.0, 0.5, 0.1, 1.0, 2.0])
+        assert merge_topk(qid, nid, dist, 3) == {
+            0: [(2, 1.0), (4, 1.0)],
+            1: [(5, 0.1), (3, 0.5), (9, 0.5)],
+        }
+
+    def test_plain_python_values(self):
+        res = merge_topk(np.array([0]), np.array([3], dtype=np.int64), np.array([1.5]), 1)
+        (i, d), = res[0]
+        assert type(i) is int and type(d) is float
