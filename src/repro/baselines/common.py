@@ -98,13 +98,10 @@ def redistribute(
                 continue
             syms = isax_symbols(paa_np(znorm_np(series_matrix(batch.column("series"))), w), MAX_BITS)
             pid = pa.array([int(local.route(s)) for s in syms], type=pa.int64())
-            node = pa.array([""] * batch.num_rows, type=pa.string())
-            yield pa.RecordBatch.from_arrays(
-                batch.columns + [pid, node], names=batch.schema.names + ["pid", "node"]
-            )
+            yield pa.RecordBatch.from_arrays(batch.columns + [pid], names=batch.schema.names + ["pid"])
 
     schema = ", ".join(f"{f.name} {f.dataType.simpleString()}" for f in series_df.schema.fields)
-    assigned = series_df.mapInArrow(gen, schema=f"{schema}, pid long, node string")
+    assigned = series_df.mapInArrow(gen, schema=f"{schema}, pid long")
     data_path = os.path.join(out_dir, "data")
     assigned.repartition("pid").write.mode("overwrite").partitionBy("pid").parquet(data_path)
     stats = spark.read.parquet(data_path).groupBy("pid").count().toPandas()

@@ -1,48 +1,29 @@
 """Dss — Distributed Sequential Scan (paper §VII-A).
 
-The vanilla full-scan baseline: every partition is scanned in parallel,
-each task computes vectorized Euclidean distances for the whole query
-batch and emits each batch's exact top-K (`distances.topk`); the driver
-merges partials into the global exact top-K by ``(dist, id)``
-(`distances.merge_topk`), so the answer does not depend on how the rows
-are partitioned. Dss produces the *exact* answer set and is
-therefore also the ground truth against which every approximate system's
-recall (Def. 4) is measured.
+The vanilla full-scan baseline: CLIMBER's own kNN operator (`core.query`)
+over the unindexed rows, all under one literal ``pid`` that every query's
+plan scans in full. Dss produces the *exact* answer set — independent of
+how the rows are partitioned — and is therefore also the ground truth
+against which every approximate system's recall (Def. 4) is measured.
 """
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
-from ..core.distances import merge_topk, topk
+from ..core.query import QueryPlan, _scan
 
 
 def dss_knn(series_df: DataFrame, queries: np.ndarray, k: int) -> Dict[int, List[Tuple[int, float]]]:
     """Exact kNN for a batch of queries via one full-scan Spark job."""
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    sc = series_df.sparkSession.sparkContext
-    bc = sc.broadcast({"Q": Q, "k": int(k)})
-
-    def scan(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        state = bc.value
-        for pdf in batches:
-            if len(pdf):
-                X = np.stack(pdf["series"].to_numpy())
-                qid, nid, dist = topk(X, pdf["id"].to_numpy(), state["Q"], state["k"])
-                yield pd.DataFrame({"qid": qid, "nid": nid, "dist": dist})
-
-    partials = (
-        series_df.select("id", "series")
-        .mapInPandas(scan, schema="qid long, nid long, dist double")
-        .toPandas()
-    )
-    results: Dict[int, List[Tuple[int, float]]] = {q: [] for q in range(Q.shape[0])}
-    results.update(merge_topk(partials["qid"], partials["nid"], partials["dist"], k))
-    return results
+    full = QueryPlan(pids=(0,), prefixes=("",), expand_full=True)
+    rows = series_df.select("id", "series", F.lit(0).alias("pid"))
+    return _scan(rows, dict.fromkeys(range(Q.shape[0]), full), Q, k)
 
 
 def timed_dss_knn(series_df: DataFrame, queries: np.ndarray, k: int):

@@ -17,8 +17,9 @@ Two forms are provided:
 :func:`series_matrix` is the one decoder of a stored ``series`` column: it
 views an Arrow ``list<double>`` array as a (rows × n) matrix without a
 per-row copy. Every executor kernel (PAA, the Step-4 assignment, the
-baselines' redistribution) reads its series through it. :func:`sample_paa`
-is Step 1's α-sample, shared by CLIMBER and the iSAX baselines.
+baselines' redistribution, the kNN scan) reads its series through it, so
+each rejects a non-finite reading. :func:`sample_paa` is Step 1's
+α-sample, shared by CLIMBER and the iSAX baselines.
 """
 from __future__ import annotations
 
@@ -88,8 +89,8 @@ def series_matrix(col: pa.Array) -> np.ndarray:
     No per-row copy: the result is a reshaped view of the list's child
     values (read-only). Slice offsets are honoured, so a sliced array
     decodes exactly its own rows. An empty array gives a (0 × 0) matrix.
-    Raises ``ValueError`` on a null series, a null reading, or series of
-    unequal length.
+    Raises ``ValueError`` on a null series, a null or non-finite (NaN, ±inf)
+    reading, or series of unequal length.
     """
     rows = len(col)
     if col.null_count:
@@ -105,7 +106,10 @@ def series_matrix(col: pa.Array) -> np.ndarray:
     if values.null_count:
         raise ValueError(f"null readings: {values.null_count} values are null")
     n = int(lengths[0]) if rows else 0
-    return np.asarray(values.to_numpy(zero_copy_only=False), dtype=np.float64).reshape(rows, n)
+    M = np.asarray(values.to_numpy(zero_copy_only=False), dtype=np.float64).reshape(rows, n)
+    if not np.isfinite(M).all():
+        raise ValueError(f"non-finite readings: {(~np.isfinite(M)).sum()} values are NaN or infinite")
+    return M
 
 
 def _list_column(M: np.ndarray) -> pa.ListArray:

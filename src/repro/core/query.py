@@ -13,30 +13,34 @@ Routing (driver side, against the broadcast-size skeleton):
   groups at the minimum OD.
 
 Scanning (executor side): :func:`knn_scan` is the custom kNN operator —
-one Spark job evaluates a whole batch of queries. Query vectors and
-per-query plans are broadcast; the parquet read is pruned to the union of
-planned partitions; a ``mapInPandas`` kernel computes vectorized ED for
-the rows each plan selects (trie-node prefix filter, with full-partition
-expansion when the node holds < K records — §VI "Localized Record-Level
-Similarity") and emits each batch's exact top-K per query
-(`distances.topk`); the driver merges the partials by ``(dist, id)``
-(`distances.merge_topk`), so the answer does not depend on how the rows
-are split into batches or partitions. :func:`timed_knn` routes and scans
-a batch under one clock.
+one Spark job per query batch, reading only the planned partitions. The
+queries and the plans, inverted into a ``pid → queries`` map
+(:func:`plans_by_pid`), are broadcast; a ``mapInArrow`` kernel runs
+:func:`scan_batch` on each Arrow batch: decode the series once, group the
+rows by ``pid``, and make one multi-query `distances.topk` per pid for the
+queries that scan the whole partition, plus one per query that keeps the
+trie-node filter (§VI "Localized Record-Level Similarity"; ``node`` is
+read only then). The driver merges the partials by ``(dist, id)``
+(`distances.merge_topk`), so no answer depends on how the rows are split.
+Dss (`baselines.dss`) is the same operator. :func:`timed_knn` routes and
+scans a batch under one clock.
 """
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import SparkSession
+import pyarrow as pa
+import pyarrow.compute as pc
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .assignment import FALLBACK_GID, tied_groups_after_wd
 from .distances import merge_topk, od_matrix, topk
+from .paa import series_matrix
 from .skeleton import Skeleton
 from .trie import TrieNode, navigate
 
@@ -181,16 +185,76 @@ def route_od_smallest(sk: Skeleton, series: np.ndarray, k: int, *, qid: int = 0)
 # ---------------------------------------------------------------------------
 
 
-def _prefix_mask(nodes: pd.Series, prefixes: Sequence[str]) -> np.ndarray:
+def plans_by_pid(plans: Dict[int, QueryPlan]) -> Dict[int, list]:
+    """``qid → QueryPlan`` inverted for the scan: ``pid → [(qid, node
+    prefixes, or None when the query scans the whole partition)]``."""
+    by_pid: Dict[int, list] = defaultdict(list)
+    for q, pl in sorted(plans.items()):
+        for p in pl.pids:
+            by_pid[int(p)].append((q, None if pl.expand_full else tuple(pl.prefixes)))
+    return dict(by_pid)
+
+
+def _prefix_mask(nodes: pa.Array, prefixes: Sequence[str]) -> np.ndarray:
     """Rows whose landing node lies in the subtree of any prefix path."""
-    mask = np.zeros(len(nodes), dtype=bool)
-    vals = nodes.to_numpy()
-    for p in prefixes:
-        if p == "":
-            mask[:] = True
-            break
-        mask |= (vals == p) | np.char.startswith(vals.astype(str), p + "/")
+    mask = np.full(len(nodes), "" in prefixes)
+    for p in set(prefixes) - {""}:
+        mask |= np.asarray(pc.or_(pc.equal(nodes, p), pc.starts_with(nodes, pattern=p + "/")))
     return mask
+
+
+def scan_batch(batch: pa.RecordBatch, Q: np.ndarray, by_pid: Dict[int, list], k: int) -> pa.RecordBatch:
+    """The kNN operator's body: one Arrow batch of ``(id, series, pid[, node])``
+    → its exact top-``k`` partials ``(qid, nid, dist)`` for `merge_topk`."""
+    X = series_matrix(batch.column("series"))
+    ids, pid = batch.column("id").to_numpy(), batch.column("pid").to_numpy()
+    parts = []
+    for p in np.unique(pid).tolist():
+        if p not in by_pid:
+            continue
+        rows = np.flatnonzero(pid == p)
+        Xp, idp = (X, ids) if len(rows) == len(ids) else (X[rows], ids[rows])
+        full = np.array([q for q, prefixes in by_pid[p] if prefixes is None], dtype=np.int64)
+        if len(full):
+            j, nid, dist = topk(Xp, idp, Q[full], k)
+            parts.append((full[j], nid, dist))
+        for q, prefixes in by_pid[p]:
+            if prefixes is None:
+                continue
+            sel = _prefix_mask(batch.column("node").take(rows), prefixes)
+            if sel.any():
+                _, nid, dist = topk(Xp[sel], idp[sel], Q[q], k)
+                parts.append((np.full(len(nid), q), nid, dist))
+    qid, nid, dist = (np.concatenate(c) for c in zip(*parts)) if parts else ([], [], [])
+    return pa.RecordBatch.from_arrays(
+        [pa.array(qid, pa.int64()), pa.array(nid, pa.int64()), pa.array(dist, pa.float64())],
+        names=["qid", "nid", "dist"])
+
+
+def _query_matrix(queries: np.ndarray) -> np.ndarray:
+    """The (Q × n) float64 query batch; ``ValueError`` on a non-finite reading."""
+    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    bad = np.flatnonzero(~np.isfinite(Q).all(axis=1))
+    if len(bad):
+        raise ValueError(f"non-finite query readings in query rows {bad.tolist()}")
+    return Q
+
+
+def _scan(rows: DataFrame, plans: Dict[int, QueryPlan], queries: np.ndarray, k: int):
+    """The distributed kNN operator: one ``mapInArrow`` job of `scan_batch`
+    over ``rows`` (``id, series, pid[, node]``), then one `merge_topk`."""
+    Q = _query_matrix(queries)
+    by_pid = plans_by_pid(plans)
+    filtered = any(pre is not None for entries in by_pid.values() for _, pre in entries)
+    cols = ["id", "series", "pid"] + (["node"] if filtered else [])
+    bc = rows.sparkSession.sparkContext.broadcast((Q, by_pid, int(k)))
+
+    def gen(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        return (scan_batch(batch, *bc.value) for batch in batches)
+
+    partials = rows.select(*cols).mapInArrow(gen, "qid long, nid long, dist double").toPandas()
+    merged = merge_topk(partials["qid"], partials["nid"], partials["dist"], k)
+    return {q: merged.get(q, []) for q in plans}
 
 
 def knn_scan(
@@ -205,50 +269,9 @@ def knn_scan(
     ``plans[qid]`` indexes row ``qid`` of ``queries`` (Q × n). Returns
     ``qid → [(series id, ED distance)]`` sorted ascending, length ≤ k.
     """
-    all_pids = sorted({p for pl in plans.values() for p in pl.pids})
-    if not all_pids:
-        return {q: [] for q in plans}
-    sc = spark.sparkContext
-    bc = sc.broadcast(
-        {
-            "Q": np.asarray(queries, dtype=np.float64),
-            "plans": {q: (set(pl.pids), tuple(pl.prefixes), bool(pl.expand_full)) for q, pl in plans.items()},
-            "k": int(k),
-        }
-    )
-    df = (
-        spark.read.parquet(data_path)
-        .where(F.col("pid").isin([int(p) for p in all_pids]))
-        .select("id", "series", "node", "pid")
-    )
-
-    def scan(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        state = bc.value
-        Q, plan_map, kk = state["Q"], state["plans"], state["k"]
-        for pdf in batches:
-            if not len(pdf):
-                continue
-            X = np.stack(pdf["series"].to_numpy())
-            ids = pdf["id"].to_numpy()
-            pids_here = set(pdf["pid"].unique().tolist())
-            hits = []
-            for qid, (pids, prefixes, expand) in plan_map.items():
-                if not (pids & pids_here):
-                    continue
-                rows = pdf["pid"].isin(list(pids)).to_numpy()
-                if not expand:
-                    rows &= _prefix_mask(pdf["node"], prefixes)
-                if rows.any():
-                    hits.append((qid, *topk(X[rows], ids[rows], Q[qid], kk)[1:]))
-            if hits:
-                qids, nid, dist = zip(*hits)
-                yield pd.DataFrame({"qid": np.repeat(qids, [len(n) for n in nid]),
-                                    "nid": np.concatenate(nid), "dist": np.concatenate(dist)})
-
-    partials = df.mapInPandas(scan, schema="qid long, nid long, dist double").toPandas()
-    results: Dict[int, List[Tuple[int, float]]] = {q: [] for q in plans}
-    results.update(merge_topk(partials["qid"], partials["nid"], partials["dist"], k))
-    return results
+    pids = sorted({int(p) for pl in plans.values() for p in pl.pids})
+    stored = spark.read.parquet(data_path).where(F.col("pid").isin(pids))
+    return _scan(stored, plans, queries, k)
 
 
 @dataclass
@@ -264,7 +287,7 @@ def timed_knn(spark, data_path, planner, queries, k, pid_counts):
     """Route (``planner(Q) → {qid: QueryPlan}``) and :func:`knn_scan` a batch
     under one clock; returns ``(results, QueryStats)``."""
     t0 = time.perf_counter()
-    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    Q = _query_matrix(queries)
     plans = planner(Q)
     res = knn_scan(spark, data_path, plans, Q, k)
     stats = QueryStats(seconds=time.perf_counter() - t0)

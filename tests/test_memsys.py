@@ -51,12 +51,6 @@ class TestOdyssey:
         eng.build(data)
         assert eng.build_s > 0
 
-    def test_isax_tree_built(self, data):
-        eng = OdysseyEngine(w=8)
-        eng.build(data)
-        assert len(eng.tree) >= 1
-        assert sum(len(v) for v in eng.tree.values()) == data.shape[0]
-
     def test_custom_ids(self, data):
         ids = np.arange(1000, 1000 + data.shape[0])
         eng = OdysseyEngine(w=8)

@@ -126,6 +126,11 @@ class TestSeriesMatrix:
         with pytest.raises(ValueError, match="null readings"):
             series_matrix(self._lists([[1.0, None], [3.0, 4.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reading_raises(self, value):
+        with pytest.raises(ValueError, match="non-finite readings: 1 values"):
+            series_matrix(self._lists([[1.0, 2.0], [3.0, value]]))
+
 
 class TestWithPaaSpark:
     def test_matches_numpy(self, spark, small_df, small_matrix):

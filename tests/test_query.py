@@ -179,6 +179,12 @@ class TestScanOperator:
         assert len(rn[0]) <= len(rw[0])
         assert {i for i, _ in rn[0]} <= {i for i, _ in rw[0]}
 
+    def test_baselines_store_no_node_column(self, spark, tardis_index, dpisax_index):
+        """The scan reads ``node`` only for node-filtered plans, which the
+        baselines never make, so they do not store it."""
+        for idx in (tardis_index, dpisax_index):
+            assert sorted(spark.read.parquet(idx.data_path).columns) == ["id", "pid", "series"]
+
     def test_multiple_queries_one_job(self, spark, climber_index, queries):
         _, Q = queries
         plans = {
