@@ -27,7 +27,7 @@ import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.paa import paa_np, sample_paa, series_matrix, znorm_np
-from ..core.query import QueryPlan, timed_knn
+from ..core.query import QueryPlan, _query_matrix, occupancy, stored_columns, timed_knn
 from .isax import MAX_BITS, isax_symbols
 
 
@@ -68,12 +68,10 @@ class BaselineIndex:
         return len(pickle.dumps(self.router, protocol=pickle.HIGHEST_PROTOCOL))
 
     def plans(self, queries: np.ndarray) -> Dict[int, QueryPlan]:
-        """Each query's plan: the one partition its iSAX word routes to."""
-        syms = query_symbols(np.atleast_2d(queries), self.w)
-        return {
-            qid: QueryPlan(pids=(int(self.router.route(s)),), prefixes=("",), expand_full=True)
-            for qid, s in enumerate(syms)
-        }
+        """Each query's plan: the one partition its iSAX word routes to;
+        ``ValueError`` on a non-finite reading."""
+        syms = query_symbols(_query_matrix(queries), self.w)
+        return {qid: QueryPlan(pids=(int(self.router.route(s)),)) for qid, s in enumerate(syms)}
 
     def knn_batch(self, spark: SparkSession, queries: np.ndarray, k: int):
         """Route each query to its single partition and scan (one Spark job)."""
@@ -81,7 +79,6 @@ class BaselineIndex:
 
 
 def redistribute(
-    spark: SparkSession,
     series_df: DataFrame,
     router: object,
     w: int,
@@ -104,9 +101,8 @@ def redistribute(
     assigned = series_df.mapInArrow(gen, schema=f"{schema}, pid long")
     data_path = os.path.join(out_dir, "data")
     assigned.repartition("pid").write.mode("overwrite").partitionBy("pid").parquet(data_path)
-    stats = spark.read.parquet(data_path).groupBy("pid").count().toPandas()
-    pid_counts = {int(r.pid): int(r["count"]) for _, r in stats.iterrows()}
-    return pid_counts, int(stats["count"].sum())
+    (pid,) = stored_columns(data_path, "pid")
+    return occupancy(pid), len(pid)
 
 
 def build_baseline(
@@ -125,7 +121,7 @@ def build_baseline(
     t0 = time.perf_counter()
     syms = sample_symbols(series_df, w, alpha, seed)
     router = make_router(syms, alpha)
-    pid_counts, n = redistribute(spark, series_df, router, w, out_dir)
+    pid_counts, n = redistribute(series_df, router, w, out_dir)
     return BaselineIndex(
         name=name, out_dir=out_dir, w=w, router=router, pid_counts=pid_counts,
         build_s=time.perf_counter() - t0, n_series=n,

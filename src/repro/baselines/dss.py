@@ -21,7 +21,7 @@ from ..core.query import QueryPlan, _scan
 def dss_knn(series_df: DataFrame, queries: np.ndarray, k: int) -> Dict[int, List[Tuple[int, float]]]:
     """Exact kNN for a batch of queries via one full-scan Spark job."""
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    full = QueryPlan(pids=(0,), prefixes=("",), expand_full=True)
+    full = QueryPlan(pids=(0,))
     rows = series_df.select("id", "series", F.lit(0).alias("pid"))
     return _scan(rows, dict.fromkeys(range(Q.shape[0]), full), Q, k)
 

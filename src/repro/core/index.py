@@ -14,16 +14,17 @@ Step 4  full-dataset redistribution: the skeleton (pivots included) ships to
         executors inside one ``mapInArrow`` closure (the paper's
         broadcast), which maps each ``(id, series)`` straight to
         ``(gid, pid, node)``, passing the Arrow ``id`` and ``series``
-        arrays through untouched; a ``repartition(pid)`` shuffle +
-        ``write.partitionBy("pid")`` produce the physical partitions, with
-        records sorted by trie node so each node's records are contiguous
-        (the paper's in-partition layout). Only ``id``, ``series``, ``gid``,
-        ``node`` and the ``pid`` directory are stored.
+        arrays through untouched (``node`` is the landing trie node's
+        ordinal); a ``repartition(pid)`` shuffle + ``write.partitionBy("pid")``
+        produce the physical partitions, sorted by node ordinal so each
+        subtree's records are contiguous (the paper's in-partition layout).
+        Only ``id``, ``series``, ``gid``, ``node`` and the ``pid`` directory
+        are stored.
 
-After the write, one cheap aggregation collects exact per-node landing
-counts and per-partition occupancies; the skeleton's estimated counts are
-refined with them (`Skeleton.refine_counts`) — this is what Algorithm 3's
-``Size(G_N)`` and the adaptive expansion consult at query time.
+After the write, the driver reads back the ``pid`` and ``node`` columns
+(`query.stored_columns`, no Spark job) for exact partition occupancies and
+node counts (`Skeleton.refine_counts`) — Algorithm 3's ``Size(G_N)`` and
+the adaptive expansion consult these at query time.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from .paa import sample_paa, series_matrix
 from .pivots import select_pivots, signatures_np
-from .query import QueryPlan, route_adaptive, route_knn, route_od_smallest, timed_knn
+from .query import QueryPlan, occupancy, route_adaptive, route_knn, route_od_smallest, stored_columns, timed_knn
 from .skeleton import Skeleton, build_skeleton
 
 
@@ -166,13 +167,13 @@ def assign_partitions(df: DataFrame, sk: Skeleton) -> DataFrame:
             sig_rs, _ = local.signatures(series_matrix(series))
             gid, pid, node = local.assign_records(sig_rs, ids.to_numpy())
             yield pa.RecordBatch.from_arrays(
-                [ids, series, pa.array(gid), pa.array(pid), pa.array(node, type=pa.string())],
+                [ids, series, pa.array(gid), pa.array(pid), pa.array(node)],
                 names=["id", "series", "gid", "pid", "node"],
             )
 
     df = df.select("id", "series")
     schema = ", ".join(f"{f.name} {f.dataType.simpleString()}" for f in df.schema.fields)
-    return df.mapInArrow(gen, schema=f"{schema}, gid long, pid long, node string")
+    return df.mapInArrow(gen, schema=f"{schema}, gid long, pid long, node long")
 
 
 def build_index(
@@ -224,18 +225,9 @@ def build_index(
 
     # -- exact stats: refine trie counts, record partition occupancy ---------
     t0 = time.perf_counter()
-    stats = (
-        spark.read.parquet(data_path)
-        .groupBy("gid", "node", "pid")
-        .count()
-        .toPandas()
-    )
-    landing: Dict[Tuple[int, str], int] = {}
-    pid_counts: Dict[int, int] = {}
-    for row in stats.itertuples(index=False):
-        landing[(int(row.gid), str(row.node))] = landing.get((int(row.gid), str(row.node)), 0) + int(row.count)
-        pid_counts[int(row.pid)] = pid_counts.get(int(row.pid), 0) + int(row.count)
-    sk.refine_counts(landing)
+    pid, node = stored_columns(data_path, "pid", "node")
+    pid_counts = occupancy(pid)
+    sk.refine_counts(node)
     report.stats_s = time.perf_counter() - t0
 
     idx = ClimberIndex(

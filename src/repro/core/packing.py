@@ -16,11 +16,12 @@ def ffd_pack(items: Sequence[Tuple[Hashable, float]], capacity: float) -> List[L
     """Pack ``(key, size)`` items into bins of ``capacity`` via FFD.
 
     Returns the list of bins, each a list of item keys. Deterministic:
-    items are sorted by (size desc, key) and bins are scanned first-fit.
+    items are sorted by size, descending, with ties kept in the input order,
+    and bins are scanned first-fit.
     """
     if capacity <= 0:
         raise ValueError(f"capacity must be positive, got {capacity}")
-    ordered = sorted(items, key=lambda kv: (-kv[1], str(kv[0])))
+    ordered = sorted(items, key=lambda kv: -kv[1])
     bins: List[List[Hashable]] = []
     residual: List[float] = []
     for key, size in ordered:

@@ -19,8 +19,9 @@ queries and the plans, inverted into a ``pid → queries`` map
 :func:`scan_batch` on each Arrow batch: decode the series once, group the
 rows by ``pid``, and make one multi-query `distances.topk` per pid for the
 queries that scan the whole partition, plus one per query that keeps the
-trie-node filter (§VI "Localized Record-Level Similarity"; ``node`` is
-read only then). The driver merges the partials by ``(dist, id)``
+trie-node filter (§VI "Localized Record-Level Similarity"): the rows whose
+``node`` ordinal lies in the target node's range ``[ord, end)``; ``node`` is
+read only then. The driver merges the partials by ``(dist, id)``
 (`distances.merge_topk`), so no answer depends on how the rows are split.
 Dss (`baselines.dss`) is the same operator. :func:`timed_knn` routes and
 scans a batch under one clock.
@@ -30,11 +31,11 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
+import pyarrow.dataset as ds
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -50,10 +51,10 @@ class QueryPlan:
     """Driver-side routing outcome for one query."""
 
     pids: Tuple[int, ...]
-    prefixes: Tuple[str, ...]  # trie-node path prefixes to filter records by
-    expand_full: bool  # scan whole partitions (node smaller than K, or baseline)
+    prefixes: Tuple[Tuple[int, int], ...] = ()  # node-ordinal ranges [ord, end) to keep
+    expand_full: bool = True  # scan whole partitions (node smaller than K, or baseline)
     gid: int = -1
-    node_path: str = ""
+    node_path: Tuple[int, ...] = ()  # the target node's pivot prefix
     node_count: float = 0.0
 
     @property
@@ -62,8 +63,9 @@ class QueryPlan:
 
 
 def _signatures(sk: Skeleton, series: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The query's rank-sensitive signature and its OD to every real centroid."""
-    sig_rs, sig_ri = sk.signatures(series[None, :])
+    """The query's rank-sensitive signature and its OD to every real centroid;
+    ``ValueError`` on a non-finite reading."""
+    sig_rs, sig_ri = sk.signatures(_query_matrix(series))
     return sig_rs[0], od_matrix(sig_ri, sk.mask)[0]
 
 
@@ -111,8 +113,8 @@ def _route_knn(sk: Skeleton, sig_rs: np.ndarray, od: np.ndarray, k: int, qid: in
     # holds fewer than K, CLIMBER-kNN expands within the same partition(s).
     expand = node.count < k
     return QueryPlan(
-        pids=tuple(sorted(node.pids)), prefixes=(node.path,), expand_full=expand,
-        gid=gid, node_path=node.path, node_count=node.count,
+        pids=tuple(sorted(node.pids)), prefixes=((node.ord, node.end),), expand_full=expand,
+        gid=gid, node_path=node.prefix, node_count=node.count,
     )
 
 
@@ -164,8 +166,7 @@ def route_adaptive(
     # loaded record (not just the memorized subtrees) is the paper's
     # "expands the search within the same partition" at zero extra I/O.
     return QueryPlan(
-        pids=tuple(sorted(pids)), prefixes=("",),
-        expand_full=True, gid=base.gid, node_path=base.node_path,
+        pids=tuple(sorted(pids)), gid=base.gid, node_path=base.node_path,
         node_count=base.node_count,
     )
 
@@ -174,10 +175,7 @@ def route_od_smallest(sk: Skeleton, series: np.ndarray, k: int, *, qid: int = 0)
     """Scan every partition of every smallest-OD group (Fig. 11(b) reference)."""
     groups = _groups_at_min_od(sk, _signatures(sk, series)[1])
     pids = frozenset().union(*(sk.groups[g].trie.pids for g in groups))
-    return QueryPlan(
-        pids=tuple(sorted(pids)), prefixes=("",), expand_full=True,
-        gid=groups[0], node_path="", node_count=float("nan"),
-    )
+    return QueryPlan(pids=tuple(sorted(pids)), gid=groups[0], node_count=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +184,13 @@ def route_od_smallest(sk: Skeleton, series: np.ndarray, k: int, *, qid: int = 0)
 
 
 def plans_by_pid(plans: Dict[int, QueryPlan]) -> Dict[int, list]:
-    """``qid → QueryPlan`` inverted for the scan: ``pid → [(qid, node
-    prefixes, or None when the query scans the whole partition)]``."""
+    """``qid → QueryPlan`` inverted for the scan: ``pid → [(qid, node-ordinal
+    ranges, or None when the query scans the whole partition)]``."""
     by_pid: Dict[int, list] = defaultdict(list)
     for q, pl in sorted(plans.items()):
         for p in pl.pids:
-            by_pid[int(p)].append((q, None if pl.expand_full else tuple(pl.prefixes)))
+            by_pid[int(p)].append((q, None if pl.expand_full else pl.prefixes))
     return dict(by_pid)
-
-
-def _prefix_mask(nodes: pa.Array, prefixes: Sequence[str]) -> np.ndarray:
-    """Rows whose landing node lies in the subtree of any prefix path."""
-    mask = np.full(len(nodes), "" in prefixes)
-    for p in set(prefixes) - {""}:
-        mask |= np.asarray(pc.or_(pc.equal(nodes, p), pc.starts_with(nodes, pattern=p + "/")))
-    return mask
 
 
 def scan_batch(batch: pa.RecordBatch, Q: np.ndarray, by_pid: Dict[int, list], k: int) -> pa.RecordBatch:
@@ -214,14 +204,14 @@ def scan_batch(batch: pa.RecordBatch, Q: np.ndarray, by_pid: Dict[int, list], k:
             continue
         rows = np.flatnonzero(pid == p)
         Xp, idp = (X, ids) if len(rows) == len(ids) else (X[rows], ids[rows])
-        full = np.array([q for q, prefixes in by_pid[p] if prefixes is None], dtype=np.int64)
+        full = np.array([q for q, ranges in by_pid[p] if ranges is None], dtype=np.int64)
         if len(full):
             j, nid, dist = topk(Xp, idp, Q[full], k)
             parts.append((full[j], nid, dist))
-        for q, prefixes in by_pid[p]:
-            if prefixes is None:
-                continue
-            sel = _prefix_mask(batch.column("node").take(rows), prefixes)
+        filtered = [(q, ranges) for q, ranges in by_pid[p] if ranges is not None]
+        node = batch.column("node").to_numpy()[rows] if filtered else None
+        for q, ranges in filtered:
+            sel = np.any([(lo <= node) & (node < hi) for lo, hi in ranges], axis=0)
             if sel.any():
                 _, nid, dist = topk(Xp[sel], idp[sel], Q[q], k)
                 parts.append((np.full(len(nid), q), nid, dist))
@@ -272,6 +262,18 @@ def knn_scan(
     pids = sorted({int(p) for pl in plans.values() for p in pl.pids})
     stored = spark.read.parquet(data_path).where(F.col("pid").isin(pids))
     return _scan(stored, plans, queries, k)
+
+
+def stored_columns(data_path: str, *columns: str) -> List[np.ndarray]:
+    """Integer columns of every stored row, read on the driver through
+    ``pyarrow.dataset`` (``pid`` from the ``pid=`` directories); no Spark job."""
+    t = ds.dataset(data_path, format="parquet", partitioning="hive").to_table(columns=list(columns))
+    return [t.column(c).to_numpy().astype(np.int64) for c in columns]
+
+
+def occupancy(pid: np.ndarray) -> Dict[int, int]:
+    """``pid → stored rows``; a pid with no row is absent."""
+    return {p: c for p, c in enumerate(np.bincount(pid).tolist()) if c}
 
 
 @dataclass

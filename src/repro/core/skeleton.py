@@ -12,7 +12,8 @@ The skeleton is everything the driver keeps (and broadcasts in Step 4):
 
 It is built from the *sample* signature frequencies (Steps 1–3) and is the
 only state needed to (a) route any data series to its ``(group, partition,
-trie-node)`` during redistribution and (b) route queries (Algorithm 3).
+trie-node ordinal)`` during redistribution and (b) route queries
+(Algorithm 3). Node ordinals run on across groups in gid order.
 The object is small (the paper reports ~2.5 MB at 400 GB) and pickles next
 to the data.
 """
@@ -30,7 +31,7 @@ from .distances import centroid_mask, decay_weights
 from .packing import ffd_pack
 from .paa import paa_np
 from .pivots import signatures_np
-from .trie import TrieNode, annotate_pids, build_trie, leaves, navigate
+from .trie import TrieNode, annotate_pids, build_trie, iter_nodes, leaves, navigate
 
 
 @dataclass
@@ -75,23 +76,23 @@ class Skeleton:
 
     def assign_records(
         self, sig_rs: np.ndarray, ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, List[str]]:
-        """Route a batch of rank-sensitive signatures to (gid, pid, node path).
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Route a batch of rank-sensitive signatures to (gid, pid, node).
 
         A record landing on a trie *leaf* goes to that leaf's partition; a
         record whose path ends early (unseen pivot → internal node) goes to
         its group's default partition (paper §V Step 3). The returned node
-        path is the deepest matched path (what the in-partition layout sorts
-        and filters by).
+        is the ordinal of the deepest matched node (what the in-partition
+        layout sorts and filters by).
         """
         res = assign_batch(sig_rs, self.mask, self.weights, ids=ids, seed=self.seed)
         B = sig_rs.shape[0]
         pid = np.empty(B, dtype=np.int64)
-        nodes: List[str] = [""] * B
+        nodes = np.empty(B, dtype=np.int64)
         for b in range(B):
             g = self.groups[int(res.gid[b])]
             node = navigate(g.trie, sig_rs[b])
-            nodes[b] = node.path
+            nodes[b] = node.ord
             if node.is_leaf and node.pids:
                 pid[b] = next(iter(node.pids))
             else:
@@ -100,28 +101,19 @@ class Skeleton:
 
     # ---------------- bookkeeping ----------------
 
-    def refine_counts(self, landing_counts: Dict[Tuple[int, str], int]) -> None:
+    def refine_counts(self, node: np.ndarray) -> None:
         """Replace sample-estimated trie counts with exact full-data counts.
 
-        ``landing_counts`` maps ``(gid, landing-node-path)`` → exact count,
-        as aggregated from the redistributed data. A node's count becomes
-        the total of landings at itself and its subtree, which is what the
-        query router's ``Size(G_N)`` and adaptive expansion consult.
+        ``node`` holds the landing-node ordinal of every stored record. A
+        node's count becomes the number of landings in its ordinal range
+        ``[ord, end)`` — itself and its subtree — which is what the query
+        router's ``Size(G_N)`` and adaptive expansion consult.
         """
-        per_gid: Dict[int, Dict[str, int]] = {}
-        for (gid, path), cnt in landing_counts.items():
-            per_gid.setdefault(gid, {})[path] = cnt
-        for gid, g in self.groups.items():
-            land = per_gid.get(gid, {})
-
-            def rec(node: TrieNode) -> float:
-                total = float(land.get(node.path, 0))
-                for ch in node.children.values():
-                    total += rec(ch)
-                node.count = total
-                return total
-
-            rec(g.trie)
+        n_nodes = max(g.trie.end for g in self.groups.values())
+        csum = np.concatenate(([0], np.cumsum(np.bincount(node, minlength=n_nodes))))
+        for g in self.groups.values():
+            for t in iter_nodes(g.trie):
+                t.count = float(csum[t.end] - csum[t.ord])
 
     def serialize(self) -> bytes:
         state = self.__dict__.copy()
@@ -200,22 +192,19 @@ def build_skeleton(
             members[int(g)].append((sig, float(f) * scale))
 
     # Step 3b — per-group trie + FFD packing into global partition ids.
-    next_pid = 0
+    next_pid, next_ord = 0, 0
     for gid in sorted(sk.groups):
         g = sk.groups[gid]
-        g.trie = build_trie(members[gid], capacity, max_depth=m)
-        leaf_nodes = leaves(g.trie)
-        bins = ffd_pack([(n.path, n.count) for n in leaf_nodes], capacity)
-        leaf_pid: Dict[str, int] = {}
-        bin_load: Dict[int, float] = {}
-        size_of = {n.path: n.count for n in leaf_nodes}
-        for b in bins:
-            pid = next_pid
-            next_pid += 1
-            bin_load[pid] = sum(size_of[p] for p in b)
-            for path in b:
-                leaf_pid[path] = pid
-        annotate_pids(g.trie, leaf_pid)
+        g.trie = build_trie(members[gid], capacity, max_depth=m, start=next_ord)
+        next_ord = g.trie.end
+        # FFD keeps the input order among equal sizes: leaves go in with
+        # pivot ids compared as decimal strings.
+        leaf_nodes = sorted(leaves(g.trie), key=lambda n: tuple(map(str, n.prefix)))
+        size_of = {n.prefix: n.count for n in leaf_nodes}
+        bins = dict(enumerate(ffd_pack(list(size_of.items()), capacity), start=next_pid))
+        next_pid += len(bins)
+        bin_load = {pid: sum(size_of[p] for p in b) for pid, b in bins.items()}
+        annotate_pids(g.trie, {prefix: pid for pid, b in bins.items() for prefix in b})
         # Default partition: the group's least-occupied one (paper §V Step 3).
         g.default_pid = min(bin_load, key=lambda p: (bin_load[p], p))
     sk.n_partitions = next_pid

@@ -7,11 +7,12 @@ the 2nd, and so on, recursively, until every leaf holds ≤ c objects (or
 the full prefix length ``m`` is exhausted).
 
 Properties guaranteed (Def. 12): leaves are disjoint, cover the whole
-group, and the root-to-leaf path of a leaf *is* its pivot prefix. Leaves
-are later packed into physical partitions (see :mod:`repro.core.packing`);
-every node carries the set of partition ids of its subtree so that a query
-stopping at an internal node can fetch exactly those partitions (paper
-Example 2 returns β₆ ∪ β₇ from an internal node).
+group, and the root-to-leaf path of a leaf *is* its pivot prefix. Nodes are
+numbered in DFS pre-order, so a subtree is one ordinal range ``[ord, end)``:
+the stored ``node`` column is sorted, filtered and counted by it. Leaves are
+packed into physical partitions (:mod:`repro.core.packing`); every node
+carries its subtree's partition ids, so a query stopping at an internal node
+fetches exactly those (paper Example 2 returns β₆ ∪ β₇ from one).
 """
 from __future__ import annotations
 
@@ -23,14 +24,16 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 class TrieNode:
     """One node of a group trie.
 
-    ``path`` — the pivot prefix from the root ("" for the root, otherwise
-    "6" / "6/2" / ... — slash-joined pivot ids).
+    ``prefix`` — the pivot ids from the root (``()`` for the root).
+    ``ord`` / ``end`` — DFS pre-order ordinal; the subtree is ``[ord, end)``.
     ``count`` — estimated number of full-dataset objects in the subtree.
     ``children`` — pivot id → child (empty for leaves).
     ``pids`` — physical partition ids of the subtree (filled by packing).
     """
 
-    path: str = ""
+    prefix: Tuple[int, ...] = ()
+    ord: int = 0
+    end: int = 1
     count: float = 0.0
     children: Dict[int, "TrieNode"] = field(default_factory=dict)
     pids: frozenset = frozenset()
@@ -40,7 +43,7 @@ class TrieNode:
         return not self.children
 
     def depth(self) -> int:
-        return 0 if not self.path else self.path.count("/") + 1
+        return len(self.prefix)
 
 
 def build_trie(
@@ -48,6 +51,7 @@ def build_trie(
     capacity: float,
     *,
     max_depth: int | None = None,
+    start: int = 0,
 ) -> TrieNode:
     """Build a group's trie from ``[(rank-sensitive signature, est. count)]``.
 
@@ -55,34 +59,35 @@ def build_trie(
     counts, i.e. estimated full-dataset objects). ``max_depth`` defaults to
     the signature length: a node at depth m cannot split further even if
     oversized (its leaf may exceed c — the paper treats c as a soft
-    constraint, and FFD gives such a leaf its own partition).
+    constraint, and FFD gives such a leaf its own partition). Ordinals
+    start at ``start``, children in pivot order.
     """
     sigs = [tuple(int(p) for p in s) for s, _ in members]
     counts = [float(f) for _, f in members]
     if max_depth is None:
         max_depth = max((len(s) for s in sigs), default=0)
 
-    def make(node_members: List[int], depth: int, path: str) -> TrieNode:
+    next_ord = start
+
+    def make(node_members: List[int], prefix: Tuple[int, ...]) -> TrieNode:
+        nonlocal next_ord
+        depth = len(prefix)
         total = sum(counts[i] for i in node_members)
-        node = TrieNode(path=path, count=total)
-        if total <= capacity or depth >= max_depth:
-            return node
-        by_pivot: Dict[int, List[int]] = {}
-        for i in node_members:
-            sig = sigs[i]
-            if depth >= len(sig):
-                continue  # signature shorter than depth: stays on this node
-            by_pivot.setdefault(sig[depth], []).append(i)
-        if not by_pivot:
-            return node
-        # A single-child chain still descends (the paper's Fig. 5 trie has
-        # such chains) until the node fits or depth reaches max_depth.
-        for pivot in sorted(by_pivot):
-            child_path = f"{path}/{pivot}" if path else str(pivot)
-            node.children[pivot] = make(by_pivot[pivot], depth + 1, child_path)
+        node = TrieNode(prefix=prefix, ord=next_ord, count=total)
+        next_ord += 1
+        if total > capacity and depth < max_depth:
+            by_pivot: Dict[int, List[int]] = {}
+            for i in node_members:
+                if depth < len(sigs[i]):  # a shorter signature stays on this node
+                    by_pivot.setdefault(sigs[i][depth], []).append(i)
+            # A single-child chain still descends (the paper's Fig. 5 trie has
+            # such chains) until the node fits or depth reaches max_depth.
+            for pivot in sorted(by_pivot):
+                node.children[pivot] = make(by_pivot[pivot], prefix + (pivot,))
+        node.end = next_ord
         return node
 
-    return make(list(range(len(sigs))), 0, "")
+    return make(list(range(len(sigs))), ())
 
 
 def leaves(root: TrieNode) -> List[TrieNode]:
@@ -114,16 +119,16 @@ def navigate(root: TrieNode, sig_rs: Sequence[int]) -> TrieNode:
     return node
 
 
-def annotate_pids(root: TrieNode, leaf_pid: Dict[str, int]) -> None:
+def annotate_pids(root: TrieNode, leaf_pid: Dict[Tuple[int, ...], int]) -> None:
     """Propagate packed partition ids bottom-up (Fig. 5's β labels).
 
-    ``leaf_pid`` maps each leaf's ``path`` to its physical partition id.
+    ``leaf_pid`` maps each leaf's ``prefix`` to its physical partition id.
     Internal nodes get the union of their subtree's ids.
     """
 
     def rec(node: TrieNode) -> frozenset:
         if node.is_leaf:
-            node.pids = frozenset({leaf_pid[node.path]})
+            node.pids = frozenset({leaf_pid[node.prefix]})
         else:
             acc: set = set()
             for ch in node.children.values():

@@ -18,7 +18,7 @@ class TestExactPathsAgree:
     def test_full_knn_scan_equals_dss_and_odyssey(self, spark, small_df, climber_index,
                                                   small_matrix, queries):
         _, Q = queries
-        full = QueryPlan(pids=tuple(sorted(climber_index.pid_counts)), prefixes=("",), expand_full=True)
+        full = QueryPlan(pids=tuple(sorted(climber_index.pid_counts)))
         scan = knn_scan(spark, climber_index.data_path, dict.fromkeys(range(len(Q)), full), Q, K_SMALL)
         dss = dss_knn(small_df, Q, K_SMALL)
         eng = OdysseyEngine(w=8)

@@ -7,7 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.baselines.dss import dss_knn
 from repro.core.index import build_index
-from repro.core.query import QueryPlan, knn_scan
+from repro.core.query import QueryPlan, knn_scan, route_knn
 from tests.conftest import K_SMALL, LEN_SMALL, SMALL_PARAMS
 
 VARIANTS = ("knn", "adaptive-2x", "adaptive-4x", "od-smallest")
@@ -49,6 +49,23 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="non-finite query"):
             dss_knn(small_df, bad, K_SMALL)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_query_rejected_when_planning(self, climber_index, tardis_index, dpisax_index,
+                                          queries, value):
+        """Routing alone rejects it too, with the same message as the scan."""
+        _, Q = queries
+        bad = Q.copy()
+        bad[2, 7] = value
+        msg = r"non-finite query readings in query rows \[0\]"
+        for variant in VARIANTS:
+            with pytest.raises(ValueError, match=msg):
+                climber_index.plan(bad[2], K_SMALL, variant=variant)
+        with pytest.raises(ValueError, match=msg):
+            route_knn(climber_index.skeleton, bad[2], K_SMALL)
+        for idx in (tardis_index, dpisax_index):
+            with pytest.raises(ValueError, match=r"non-finite query readings in query rows \[2\]"):
+                idx.plans(bad)
+
 
 class TestConstantSeries:
     def test_builds_and_answers(self, spark, small_df, tmp_path):
@@ -62,6 +79,6 @@ class TestConstantSeries:
             res, _ = idx.knn_batch(spark, q, K_SMALL, variant=variant)
             assert len(res[0]) == K_SMALL
             assert all(np.isfinite(d) for _, d in res[0])
-        full = QueryPlan(pids=tuple(sorted(idx.pid_counts)), prefixes=("",), expand_full=True)
+        full = QueryPlan(pids=tuple(sorted(idx.pid_counts)))
         assert knn_scan(spark, idx.data_path, {0: full}, q, K_SMALL) == truth
         df.unpersist()

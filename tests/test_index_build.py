@@ -1,14 +1,20 @@
 """CLIMBER-INX end-to-end build tests on Spark (paper Fig. 6)."""
+import glob
 import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.assignment import FALLBACK_GID
 from repro.core.index import ClimberIndex, ClimberParams, assign_partitions, build_index
+from repro.core.query import QueryPlan, _route_knn, knn_scan, occupancy, stored_columns
+from repro.core.trie import iter_nodes
 from repro.oracle import assert_equivalent
-from tests.conftest import N_SMALL, SMALL_PARAMS
+from tests.conftest import K_SMALL, N_SMALL, SMALL_PARAMS
 
 
 class TestBuildOutputs:
@@ -70,6 +76,34 @@ class TestDataLayout:
         np.testing.assert_array_equal(gid, pdf["gid"].to_numpy())
         np.testing.assert_array_equal(pid, pdf["pid"].to_numpy())
 
+    def test_node_is_a_sorted_long_ordinal(self, climber_index):
+        """``node`` is stored as int64 and sorted within every partition file,
+        so each subtree's rows are contiguous (paper §V Step 4 layout)."""
+        files = glob.glob(os.path.join(climber_index.data_path, "pid=*", "*.parquet"))
+        assert files
+        for f in files:
+            node = pq.read_table(f, columns=["node"]).column("node")
+            assert node.type == pa.int64()
+            assert (np.diff(node.to_numpy()) >= 0).all()
+
+    def test_range_rule_is_the_prefix_rule(self, climber_index):
+        """For every trie node, the rows with ``ord ≤ node < end`` are exactly
+        the rows whose landing node's pivot prefix extends the node's prefix,
+        within the node's group."""
+        sk = climber_index.skeleton
+        at = {n.ord: (gid, n) for gid, g in sk.groups.items() for n in iter_nodes(g.trie)}
+        ids, gid, node = stored_columns(climber_index.data_path, "id", "gid", "node")
+        assert [at[o][0] for o in node.tolist()] == gid.tolist()
+        landing = [at[o][1].prefix for o in node.tolist()]
+        widened = 0
+        for g, n in at.values():
+            by_range = ids[(n.ord <= node) & (node < n.end)]
+            by_prefix = ids[[lg == g and p[:len(n.prefix)] == n.prefix
+                             for lg, p in zip(gid.tolist(), landing)]]
+            np.testing.assert_array_equal(np.sort(by_range), np.sort(by_prefix))
+            widened += len(by_range) > (node == n.ord).sum()
+        assert widened  # some subtree holds rows below its root
+
     def test_group_of_each_pid_unique(self, spark, climber_index):
         """Partitions are per-group physical units (paper Fig. 5)."""
         pdf = (
@@ -112,6 +146,57 @@ class TestOracleChecks:
         )
 
 
+class TestDriverCounts:
+    @pytest.mark.parametrize("name", ["climber_index", "tardis_index", "dpisax_index"])
+    def test_counts_equal_spark_groupby(self, spark, request, name):
+        """The driver-side counts of the written index ≡ Spark's ``groupBy``."""
+        idx = request.getfixturevalue(name)
+        stored = spark.read.parquet(idx.data_path)
+        by_pid = stored.groupBy("pid").count().toPandas()
+        spark_pid = dict(zip(by_pid["pid"].tolist(), by_pid["count"].tolist()))
+        assert occupancy(*stored_columns(idx.data_path, "pid")) == spark_pid == idx.pid_counts
+        assert idx.n_series == N_SMALL
+        if name != "climber_index":
+            return
+        by_node = stored.groupBy("node").count().toPandas()
+        spark_node = dict(zip(by_node["node"].tolist(), by_node["count"].tolist()))
+        (node,) = stored_columns(idx.data_path, "node")
+        assert occupancy(node) == spark_node
+        for g in idx.skeleton.groups.values():
+            for n in iter_nodes(g.trie):  # refined count = landings in [ord, end)
+                assert n.count == sum(c for o, c in spark_node.items() if n.ord <= o < n.end)
+
+
+class TestEmptyPartition:
+    """G₀'s sample estimate is 0 on the tier-1 index, so its one partition is
+    in the skeleton but no row is stored there."""
+
+    def test_empty_pid_absent_and_counted_zero(self, climber_index):
+        sk = climber_index.skeleton
+        g0 = sk.groups[FALLBACK_GID]
+        empty = set(range(sk.n_partitions)) - set(climber_index.pid_counts)
+        assert empty == set(g0.trie.pids) == {g0.default_pid}
+        assert not os.path.exists(os.path.join(climber_index.data_path, f"pid={g0.default_pid}"))
+        assert all(n.count == 0 for n in iter_nodes(g0.trie))
+
+    def test_knn_plan_to_empty_pid_answers_empty(self, spark, climber_index, queries, monkeypatch):
+        """A query overlapping no centroid (OD = m to all) routes to G₀: the
+        plan expands, and the scan and ``knn_batch`` answer ``[]``."""
+        sk = climber_index.skeleton
+        _, Q = queries
+        sig_rs, _ = sk.signatures(Q[:1])
+        plan = _route_knn(sk, sig_rs[0], np.full(sk.mask.shape[0], sk.m), K_SMALL, 0)
+        g0 = sk.groups[FALLBACK_GID]
+        assert plan.gid == FALLBACK_GID and plan.pids == (g0.default_pid,)
+        assert plan.expand_full and plan.node_count == 0
+        narrow = QueryPlan(pids=plan.pids, prefixes=plan.prefixes, expand_full=False)
+        assert knn_scan(spark, climber_index.data_path, {0: plan, 1: narrow}, Q[:2], K_SMALL) == {
+            0: [], 1: []}
+        monkeypatch.setattr(climber_index, "plan", lambda *a, **kw: plan)
+        res, stats = climber_index.knn_batch(spark, Q[:1], K_SMALL, variant="knn")
+        assert res == {0: []} and stats.rows_scanned == {0: 0}
+
+
 class TestAssignKernel:
     def test_matches_assign_records(self, spark, small_df, small_matrix, climber_index):
         """The fused kernel's (gid, pid, node) ≡ assign_records(signatures(X)), row for row."""
@@ -122,7 +207,7 @@ class TestAssignKernel:
         np.testing.assert_array_equal(pdf["id"].to_numpy(), np.arange(N_SMALL))
         np.testing.assert_array_equal(pdf["gid"].to_numpy(), gid)
         np.testing.assert_array_equal(pdf["pid"].to_numpy(), pid)
-        assert pdf["node"].tolist() == nodes
+        np.testing.assert_array_equal(pdf["node"].to_numpy(), nodes)
         np.testing.assert_array_equal(np.stack(pdf["series"].to_numpy()), small_matrix)
 
     def test_empty_input_partitions(self, spark, small_df, tmp_path):

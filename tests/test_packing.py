@@ -40,8 +40,15 @@ class TestBasics:
             ffd_pack([("a", -2)], 10)
 
     def test_deterministic(self):
+        """Only the order among equal sizes can change the result."""
         items = [(f"i{k}", (k * 37) % 9 + 1) for k in range(30)]
-        assert ffd_pack(items, 12) == ffd_pack(list(reversed(items)), 12)
+        assert ffd_pack(items, 12) == ffd_pack(sorted(items, key=lambda kv: kv[1]), 12)
+
+    def test_ties_keep_input_order(self):
+        """Equal sizes are packed in the caller's order, whatever the key type."""
+        assert ffd_pack([("b", 5), ("a", 5), ("c", 5)], 10) == [["b", "a"], ["c"]]
+        assert ffd_pack([("c", 5), ("a", 5), ("b", 5)], 10) == [["c", "a"], ["b"]]
+        assert ffd_pack([((2,), 4), ((12,), 4), ((3,), 6)], 10) == [[(3,), (2,)], [(12,)]]
 
 
 class TestFFDQuality:

@@ -135,4 +135,4 @@ class TestAssignKernelSpark:
         np.testing.assert_array_equal(pdf["id"].to_numpy(), np.arange(len(rs)))
         np.testing.assert_array_equal(pdf["gid"].to_numpy(), gid)
         np.testing.assert_array_equal(pdf["pid"].to_numpy(), pid)
-        assert pdf["node"].tolist() == nodes
+        np.testing.assert_array_equal(pdf["node"].to_numpy(), nodes)

@@ -20,7 +20,8 @@ class TestRouting:
         _, Q = queries
         for qid, q in enumerate(Q):
             plan = climber_index.plan(q, K_SMALL, variant="knn", qid=qid)
-            assert len(plan.prefixes) == 1
+            ((lo, hi),) = plan.prefixes
+            assert lo < hi
             assert plan.n_partitions >= 1
 
     def test_adaptive_supersets_base(self, climber_index, queries):
@@ -156,7 +157,7 @@ class TestScanOperator:
     def test_empty_plan(self, spark, climber_index, queries):
         _, Q = queries
         res = knn_scan(spark, climber_index.data_path,
-                       {0: QueryPlan(pids=(), prefixes=("",), expand_full=True)}, Q, 5)
+                       {0: QueryPlan(pids=())}, Q, 5)
         assert res == {0: []}
 
     def test_prefix_filter_restricts_candidates(self, spark, climber_index, queries):
@@ -172,8 +173,9 @@ class TestScanOperator:
         if target is None:
             pytest.skip("no split trie in the small index")
         g, child = target
-        narrow = QueryPlan(pids=tuple(sorted(child.pids)), prefixes=(child.path,), expand_full=False)
-        wide = QueryPlan(pids=tuple(sorted(child.pids)), prefixes=("",), expand_full=True)
+        narrow = QueryPlan(pids=tuple(sorted(child.pids)), prefixes=((child.ord, child.end),),
+                           expand_full=False)
+        wide = QueryPlan(pids=tuple(sorted(child.pids)))
         rn = knn_scan(spark, climber_index.data_path, {0: narrow}, Q, 200)
         rw = knn_scan(spark, climber_index.data_path, {0: wide}, Q, 200)
         assert len(rn[0]) <= len(rw[0])

@@ -8,7 +8,13 @@ from repro.core.query import QueryPlan, plans_by_pid, scan_batch
 
 N_LEN = 8
 K = 4
-NODES = ["", "1", "1/2", "1/2/5", "1/3", "12", "2", "2/1"]
+# One trie, its nodes numbered in DFS pre-order with children in pivot
+# order: node ordinal i has pivot prefix PREFIXES[i], and its subtree is the
+# ordinal range RANGE[PREFIXES[i]].
+PREFIXES = [(), (1,), (1, 2), (1, 2, 5), (1, 3), (2,), (2, 1), (12,)]
+RANGE = {(): (0, 8), (1,): (1, 5), (1, 2): (2, 4), (1, 2, 5): (3, 4), (1, 3): (4, 5),
+         (2,): (5, 7), (2, 1): (6, 7), (12,): (7, 8)}
+NODES = list(range(len(PREFIXES)))
 
 
 def make_batch(ids, series, pids, nodes) -> pa.RecordBatch:
@@ -16,13 +22,15 @@ def make_batch(ids, series, pids, nodes) -> pa.RecordBatch:
     offsets = pa.array(np.arange(0, X.size + 1, N_LEN, dtype=np.int32))
     return pa.RecordBatch.from_arrays(
         [pa.array(ids, pa.int64()), pa.ListArray.from_arrays(offsets, pa.array(X.ravel())),
-         pa.array(pids, pa.int64()), pa.array(nodes, pa.string())],
+         pa.array(pids, pa.int64()), pa.array(nodes, pa.int64())],
         names=["id", "series", "pid", "node"],
     )
 
 
-def in_subtree(node: str, prefixes) -> bool:
-    return any(p == "" or node == p or node.startswith(p + "/") for p in prefixes)
+def in_subtree(node: int, ranges) -> bool:
+    """The prefix rule: the node's pivot prefix extends a planned node's."""
+    prefix = PREFIXES[node]
+    return any(prefix[:len(PREFIXES[lo])] == PREFIXES[lo] for lo, _ in ranges)
 
 
 def brute_force(batch, plan: QueryPlan, q: np.ndarray, k: int):
@@ -50,7 +58,8 @@ def mixed():
     """40 rows of pids 10/20/30 in shuffled order; every 5th series is a copy
     of the one before it under another id, so ties occur at the k-th place.
     Series ``i`` lands in node ``NODES[i % 8]``; query 2 sits next to series
-    21, whose node "12" is outside the subtree of "1"."""
+    21, whose node 5 (prefix ``(2,)``) is the first ordinal past the range
+    [1, 5) of ``(1,)``."""
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, N_LEN))
     X[4::5] = X[3::5]
@@ -64,18 +73,22 @@ def mixed():
 
 
 PLANS = {
-    0: QueryPlan(pids=(10, 20), prefixes=("",), expand_full=True),
-    1: QueryPlan(pids=(20, 30), prefixes=("",), expand_full=True),  # overlaps 0 on pid 20
-    2: QueryPlan(pids=(10, 20, 30), prefixes=("1",), expand_full=False),  # "12" is not under "1"
-    3: QueryPlan(pids=(40,), prefixes=("",), expand_full=True),  # no row in the batch
-    4: QueryPlan(pids=(10, 30), prefixes=("1/2", "2"), expand_full=False),
-    5: QueryPlan(pids=(20,), prefixes=("",), expand_full=False),  # root node: whole pid
-    6: QueryPlan(pids=(), prefixes=("",), expand_full=True),  # planned nowhere
-    7: QueryPlan(pids=(10,), prefixes=("1/3",), expand_full=False),  # fewer rows than k
+    0: QueryPlan(pids=(10, 20)),
+    1: QueryPlan(pids=(20, 30)),  # overlaps 0 on pid 20
+    2: QueryPlan(pids=(10, 20, 30), prefixes=(RANGE[(1,)],), expand_full=False),  # (2,) is not under (1,)
+    3: QueryPlan(pids=(40,)),  # no row in the batch
+    4: QueryPlan(pids=(10, 30), prefixes=(RANGE[(1, 2)], RANGE[(2,)]), expand_full=False),
+    5: QueryPlan(pids=(20,), prefixes=(RANGE[()],), expand_full=False),  # root node: whole pid
+    6: QueryPlan(pids=()),  # planned nowhere
+    7: QueryPlan(pids=(10,), prefixes=(RANGE[(1, 3)],), expand_full=False),  # fewer rows than k
 }
 
 
 class TestScanBatch:
+    def test_ranges_are_the_prefix_rule(self):
+        for lo, hi in RANGE.values():
+            assert [n for n in NODES if in_subtree(n, [(lo, hi)])] == list(range(lo, hi))
+
     def test_mixed_plans_match_brute_force(self, mixed):
         batch, Q = mixed
         got = answers(batch, PLANS, Q, K)
@@ -104,8 +117,8 @@ class TestScanBatch:
     def test_plans_by_pid(self):
         by_pid = plans_by_pid(PLANS)
         assert sorted(by_pid) == [10, 20, 30, 40]
-        assert by_pid[20] == [(0, None), (1, None), (2, ("1",)), (5, ("",))]
-        assert by_pid[10] == [(0, None), (2, ("1",)), (4, ("1/2", "2")), (7, ("1/3",))]
+        assert by_pid[20] == [(0, None), (1, None), (2, ((1, 5),)), (5, ((0, 8),))]
+        assert by_pid[10] == [(0, None), (2, ((1, 5),)), (4, ((2, 4), (5, 7))), (7, ((4, 5),))]
         assert plans_by_pid({}) == {}
 
     def test_empty_batch(self, mixed):
@@ -115,8 +128,8 @@ class TestScanBatch:
 
     def test_batch_with_no_planned_pid(self, mixed):
         batch, Q = mixed
-        plans = {0: QueryPlan(pids=(99,), prefixes=("",), expand_full=True),
-                 1: QueryPlan(pids=(98,), prefixes=("1",), expand_full=False)}
+        plans = {0: QueryPlan(pids=(99,)),
+                 1: QueryPlan(pids=(98,), prefixes=(RANGE[(1,)],), expand_full=False)}
         assert scan_batch(batch, Q, plans_by_pid(plans), K).num_rows == 0
 
     def test_non_finite_reading_rejected(self, mixed):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.assignment import FALLBACK_GID
 from repro.core.skeleton import Skeleton, build_skeleton
-from repro.core.trie import leaves
+from repro.core.trie import iter_nodes, leaves
 
 
 @pytest.fixture()
@@ -55,6 +55,25 @@ class TestBuild:
         sample_total = sum(f for _, f in rs_freqs)
         assert total_est == pytest.approx(sample_total / 0.5)
 
+    def test_node_ordinals_global_in_gid_order(self, toy_skeleton):
+        """Each group's trie is one ordinal range; together they tile
+        [0, n) in gid order, so an ordinal alone names a node."""
+        sk, _ = toy_skeleton
+        ranges = [(sk.groups[g].trie.ord, sk.groups[g].trie.end) for g in sorted(sk.groups)]
+        assert ranges[0][0] == 0
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        ords = [n.ord for g in sk.groups.values() for n in iter_nodes(g.trie)]
+        assert sorted(ords) == list(range(ranges[-1][1]))
+
+    def test_equal_leaves_packed_in_decimal_string_order(self):
+        """Leaves of equal size enter FFD with pivot ids compared as decimal
+        strings, (12,) before (2,), so (12,) joins (3,)'s partition."""
+        pivots = np.random.default_rng(0).normal(size=(13, 3))
+        sk = build_skeleton([((2, 5), 4), ((12, 5), 4), ((3, 5), 6)], pivots, w=3, m=2,
+                            capacity=10, alpha=1.0, eps=1, max_centroids=1)
+        pids = {leaf.prefix: leaf.pids for leaf in leaves(sk.groups[1].trie)}
+        assert pids[(12,)] == pids[(3,)] != pids[(2,)]
+
     def test_empty_sample(self):
         sk = build_skeleton([], np.zeros((4, 2)), w=2, m=2, capacity=5, alpha=1.0)
         assert FALLBACK_GID in sk.groups and sk.n_partitions >= 1
@@ -66,7 +85,8 @@ def _structure(sk):
         gid: (
             g.centroid,
             g.default_pid,
-            [(leaf.path, leaf.count, sorted(leaf.pids)) for leaf in leaves(g.trie)],
+            [(leaf.prefix, leaf.ord, leaf.end, leaf.count, sorted(leaf.pids))
+             for leaf in leaves(g.trie)],
         )
         for gid, g in sk.groups.items()
     }
@@ -145,8 +165,7 @@ class TestRefineCounts:
     def test_exact_counts_propagate(self, toy_skeleton):
         sk, _ = toy_skeleton
         g = max(sk.groups, key=lambda gid: sk.groups[gid].trie.count)
-        landing = {(g, leaf.path): 5 for leaf in leaves(sk.groups[g].trie)}
-        sk.refine_counts(landing)
+        sk.refine_counts(np.repeat([leaf.ord for leaf in leaves(sk.groups[g].trie)], 5))
         assert sk.groups[g].trie.count == 5 * len(leaves(sk.groups[g].trie))
         for other in sk.groups:
             if other != g:
@@ -160,5 +179,9 @@ class TestRefineCounts:
                             capacity=4, alpha=1.0, eps=1)
         gid = next(g for g in sk.groups if g != FALLBACK_GID
                    and not sk.groups[g].trie.is_leaf)
-        sk.refine_counts({(gid, "0"): 7})
-        assert sk.groups[gid].trie.count == 7
+        trie = sk.groups[gid].trie
+        sk.refine_counts(np.full(7, trie.children[0].ord))
+        assert trie.count == trie.children[0].count == 7
+        # A landing on the internal root counts at the root only.
+        sk.refine_counts(np.full(3, trie.ord))
+        assert trie.count == 3 and trie.children[0].count == 0

@@ -35,9 +35,27 @@ class TestBuild:
         sigs = [(1, 2, 5)] * 4 + [(1, 3, 6)] * 4
         root = build_trie(members_from(sigs), capacity=5)
         for node in iter_nodes(root):
-            if node.path:
-                pivots = [int(p) for p in node.path.split("/")]
-                assert navigate(root, pivots) is node
+            if node.prefix:
+                assert navigate(root, node.prefix) is node
+
+    def test_ordinals_are_preorder_ranges(self):
+        """DFS pre-order from ``start``, children in pivot order: a node's
+        subtree is exactly the ordinal range [ord, end)."""
+        sigs = [(1, 2, 5)] * 4 + [(1, 3, 6)] * 4 + [(2, 9, 9)] * 2 + [(12, 1, 1)] * 3
+        root = build_trie(members_from(sigs), capacity=3, start=10)
+        order = []
+
+        def walk(n):
+            order.append(n)
+            for p in sorted(n.children):
+                walk(n.children[p])
+
+        walk(root)
+        assert [n.ord for n in order] == list(range(10, 10 + len(order)))
+        assert root.end == 10 + len(order)
+        for a in order:
+            inside = {n.ord for n in order if n.prefix[:len(a.prefix)] == a.prefix}
+            assert inside == set(range(a.ord, a.end))
 
     def test_counts_weighted(self):
         root = build_trie(members_from([(1, 2)], counts=[7.5]), capacity=100)
@@ -65,13 +83,16 @@ class TestDef12Invariants:
         root = build_trie(members_from(sigs), capacity=cap)
         total = sum(n.count for n in leaves(root))
         assert total == pytest.approx(root.count) == 30
-        paths = [n.path for n in leaves(root)]
-        assert len(paths) == len(set(paths))
-        # No leaf path is a prefix of another leaf path (disjoint subtrees).
-        for a in paths:
-            for b in paths:
-                if a != b and a:
-                    assert not b.startswith(a + "/")
+        prefixes = [n.prefix for n in leaves(root)]
+        assert len(prefixes) == len(set(prefixes))
+        # No leaf prefix is a prefix of another leaf's (disjoint subtrees),
+        # and leaf ordinal ranges do not overlap.
+        for a in prefixes:
+            for b in prefixes:
+                if a != b:
+                    assert b[:len(a)] != a
+        ranges = sorted((n.ord, n.end) for n in leaves(root))
+        assert all(hi <= lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
 
     @given(st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
@@ -94,30 +115,30 @@ class TestNavigate:
         sigs = [(1, 2, 5)] * 4 + [(1, 3, 6)] * 4
         root = build_trie(members_from(sigs), capacity=5)
         node = navigate(root, (1, 9, 9))
-        assert node.path == "1"
+        assert node.prefix == (1,)
 
     def test_full_descent(self):
         sigs = [(1, 2, 5)] * 4 + [(1, 3, 6)] * 4
         root = build_trie(members_from(sigs), capacity=5)
         node = navigate(root, (1, 2, 5))
-        assert node.is_leaf and node.path.startswith("1/2")
+        assert node.is_leaf and node.prefix[:2] == (1, 2)
 
 
 class TestAnnotatePids:
     def test_leaf_and_internal_union(self):
         sigs = [(1, 2, 5)] * 4 + [(1, 3, 6)] * 4 + [(2, 9, 9)] * 2
         root = build_trie(members_from(sigs), capacity=5)
-        leaf_pid = {n.path: i for i, n in enumerate(leaves(root))}
+        leaf_pid = {n.prefix: i for i, n in enumerate(leaves(root))}
         annotate_pids(root, leaf_pid)
         assert root.pids == frozenset(leaf_pid.values())
         for n in iter_nodes(root):
             if n.is_leaf:
-                assert n.pids == frozenset({leaf_pid[n.path]})
+                assert n.pids == frozenset({leaf_pid[n.prefix]})
             else:
                 child_union = frozenset().union(*(c.pids for c in n.children.values()))
                 assert n.pids == child_union
 
     def test_depth_property(self):
-        assert TrieNode(path="").depth() == 0
-        assert TrieNode(path="4").depth() == 1
-        assert TrieNode(path="4/6/1").depth() == 3
+        assert TrieNode(prefix=()).depth() == 0
+        assert TrieNode(prefix=(4,)).depth() == 1
+        assert TrieNode(prefix=(4, 6, 1)).depth() == 3
