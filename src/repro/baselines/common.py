@@ -52,6 +52,8 @@ def query_symbols(series: np.ndarray, w: int) -> np.ndarray:
 class BaselineIndex:
     """A built iSAX-baseline index: routing structure + parquet partitions."""
 
+    SCHEMA = "id long, series array<double>, pid long"  # the input's rows + their pid directory
+
     name: str
     out_dir: str
     w: int
@@ -75,7 +77,7 @@ class BaselineIndex:
 
     def knn_batch(self, spark: SparkSession, queries: np.ndarray, k: int):
         """Route each query to its single partition and scan (one Spark job)."""
-        return timed_knn(spark, self.data_path, self.plans, queries, k, self.pid_counts)
+        return timed_knn(spark, self, self.plans, queries, k)
 
 
 def redistribute(
@@ -117,7 +119,6 @@ def build_baseline(
     seed: int = 7,
 ) -> BaselineIndex:
     """Common build driver: sample → router → redistribute → stats."""
-    os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     syms = sample_symbols(series_df, w, alpha, seed)
     router = make_router(syms, alpha)

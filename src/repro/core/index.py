@@ -82,6 +82,10 @@ class BuildReport:
 class ClimberIndex:
     """Handle over a built index: skeleton + parquet partitions + stats."""
 
+    # What Step 4 writes: the input's (id, series), read by `paa.series_matrix`
+    # as list<double>, plus the assignment; ``pid`` is the directory.
+    SCHEMA = "id long, series array<double>, gid long, node long, pid long"
+
     out_dir: str
     skeleton: Skeleton
     params: ClimberParams
@@ -118,7 +122,7 @@ class ClimberIndex:
         def planner(Q):
             return {i: self.plan(q, k, variant=variant, qid=i) for i, q in enumerate(Q)}
 
-        return timed_knn(spark, self.data_path, planner, queries, k, self.pid_counts)
+        return timed_knn(spark, self, planner, queries, k)
 
     # ---- persistence ----
 
@@ -183,7 +187,6 @@ def build_index(
     params: ClimberParams = ClimberParams(),
 ) -> ClimberIndex:
     """Run the full CLIMBER-INX construction (Fig. 6) and persist the index."""
-    os.makedirs(out_dir, exist_ok=True)
     report = BuildReport()
 
     # -- Step 1: sample, PAA, pivots, sample signature frequencies -----------

@@ -13,7 +13,10 @@ Routing (driver side, against the broadcast-size skeleton):
   groups at the minimum OD.
 
 Scanning (executor side): :func:`knn_scan` is the custom kNN operator —
-one Spark job per query batch, reading only the planned partitions. The
+one job; planned directories under the stored schema. It reads the ``pid=``
+directories of the planned pids that hold rows (the index's ``pid_counts``)
+with the index's ``SCHEMA`` and ``basePath``, so a call neither discovers
+partitions nor infers a schema: the scan is its one Spark job. The
 queries and the plans, inverted into a ``pid → queries`` map
 (:func:`plans_by_pid`), are broadcast; a ``mapInArrow`` kernel runs
 :func:`scan_batch` on each Arrow batch: decode the series once, group the
@@ -28,16 +31,17 @@ scans a batch under one clock.
 """
 from __future__ import annotations
 
+import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as ds
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from .assignment import FALLBACK_GID, tied_groups_after_wd
 from .distances import merge_topk, od_matrix, topk
@@ -247,21 +251,35 @@ def _scan(rows: DataFrame, plans: Dict[int, QueryPlan], queries: np.ndarray, k: 
     return {q: merged.get(q, []) for q in plans}
 
 
+def _planned_rows(spark: SparkSession, index, pids) -> DataFrame:
+    """The stored rows of the planned ``pids`` that hold rows (by
+    ``index.pid_counts``), read from their ``pid=`` directories under the
+    index's stored ``SCHEMA``: no partition discovery, no footer read. The
+    directories go to Spark in reads of at most its parallel-listing
+    threshold, so listing them runs on the driver, not as a job."""
+    dirs = [os.path.join(index.data_path, f"pid={p}") for p in sorted(pids) if index.pid_counts.get(p)]
+    if not dirs:
+        return spark.createDataFrame([], index.SCHEMA)
+    reader = spark.read.schema(index.SCHEMA).option("basePath", index.data_path)
+    step = int(spark.conf.get("spark.sql.sources.parallelPartitionDiscovery.threshold"))
+    return reduce(DataFrame.union, [reader.parquet(*dirs[i:i + step]) for i in range(0, len(dirs), step)])
+
+
 def knn_scan(
     spark: SparkSession,
-    data_path: str,
+    index,
     plans: Dict[int, QueryPlan],
     queries: np.ndarray,
     k: int,
 ) -> Dict[int, List[Tuple[int, float]]]:
-    """Execute a batch of planned kNN scans in a single Spark job.
+    """Execute a batch of planned kNN scans over ``index`` (a `ClimberIndex`
+    or `BaselineIndex`) in a single Spark job.
 
     ``plans[qid]`` indexes row ``qid`` of ``queries`` (Q × n). Returns
     ``qid → [(series id, ED distance)]`` sorted ascending, length ≤ k.
     """
-    pids = sorted({int(p) for pl in plans.values() for p in pl.pids})
-    stored = spark.read.parquet(data_path).where(F.col("pid").isin(pids))
-    return _scan(stored, plans, queries, k)
+    pids = {int(p) for pl in plans.values() for p in pl.pids}
+    return _scan(_planned_rows(spark, index, pids), plans, queries, k)
 
 
 def stored_columns(data_path: str, *columns: str) -> List[np.ndarray]:
@@ -285,15 +303,15 @@ class QueryStats:
     rows_scanned: Dict[int, int] = field(default_factory=dict)
 
 
-def timed_knn(spark, data_path, planner, queries, k, pid_counts):
+def timed_knn(spark, index, planner, queries, k):
     """Route (``planner(Q) → {qid: QueryPlan}``) and :func:`knn_scan` a batch
-    under one clock; returns ``(results, QueryStats)``."""
+    over ``index`` under one clock; returns ``(results, QueryStats)``."""
     t0 = time.perf_counter()
     Q = _query_matrix(queries)
     plans = planner(Q)
-    res = knn_scan(spark, data_path, plans, Q, k)
+    res = knn_scan(spark, index, plans, Q, k)
     stats = QueryStats(seconds=time.perf_counter() - t0)
     for qid, pl in plans.items():
         stats.partitions_touched[qid] = pl.n_partitions
-        stats.rows_scanned[qid] = int(sum(pid_counts.get(p, 0) for p in pl.pids))
+        stats.rows_scanned[qid] = int(sum(index.pid_counts.get(p, 0) for p in pl.pids))
     return res, stats

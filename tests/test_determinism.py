@@ -19,7 +19,7 @@ class TestExactPathsAgree:
                                                   small_matrix, queries):
         _, Q = queries
         full = QueryPlan(pids=tuple(sorted(climber_index.pid_counts)))
-        scan = knn_scan(spark, climber_index.data_path, dict.fromkeys(range(len(Q)), full), Q, K_SMALL)
+        scan = knn_scan(spark, climber_index, dict.fromkeys(range(len(Q)), full), Q, K_SMALL)
         dss = dss_knn(small_df, Q, K_SMALL)
         eng = OdysseyEngine(w=8)
         eng.build(small_matrix, np.arange(len(small_matrix)))
@@ -63,10 +63,10 @@ class TestSplitInvariance:
         Q = small_matrix[np.random.default_rng(5).choice(len(small_matrix), 10, replace=False)]
         plans = {q: climber_index.plan(Q[q], K_SMALL, variant=v, qid=q)
                  for q, v in zip(range(10), ["knn", "adaptive-2x", "od-smallest", "adaptive-4x"] * 3)}
-        whole = knn_scan(spark, climber_index.data_path, plans, Q, K_SMALL)
-        first = knn_scan(spark, climber_index.data_path, {q: plans[q] for q in range(5)},
+        whole = knn_scan(spark, climber_index, plans, Q, K_SMALL)
+        first = knn_scan(spark, climber_index, {q: plans[q] for q in range(5)},
                          Q[:5], K_SMALL)
-        second = knn_scan(spark, climber_index.data_path, {q - 5: plans[q] for q in range(5, 10)},
+        second = knn_scan(spark, climber_index, {q - 5: plans[q] for q in range(5, 10)},
                           Q[5:], K_SMALL)
         assert all(len(whole[q]) > 0 for q in range(10))
         assert whole == {**first, **{q + 5: a for q, a in second.items()}}

@@ -80,5 +80,5 @@ class TestConstantSeries:
             assert len(res[0]) == K_SMALL
             assert all(np.isfinite(d) for _, d in res[0])
         full = QueryPlan(pids=tuple(sorted(idx.pid_counts)))
-        assert knn_scan(spark, idx.data_path, {0: full}, q, K_SMALL) == truth
+        assert knn_scan(spark, idx, {0: full}, q, K_SMALL) == truth
         df.unpersist()

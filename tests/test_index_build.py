@@ -190,7 +190,7 @@ class TestEmptyPartition:
         assert plan.gid == FALLBACK_GID and plan.pids == (g0.default_pid,)
         assert plan.expand_full and plan.node_count == 0
         narrow = QueryPlan(pids=plan.pids, prefixes=plan.prefixes, expand_full=False)
-        assert knn_scan(spark, climber_index.data_path, {0: plan, 1: narrow}, Q[:2], K_SMALL) == {
+        assert knn_scan(spark, climber_index, {0: plan, 1: narrow}, Q[:2], K_SMALL) == {
             0: [], 1: []}
         monkeypatch.setattr(climber_index, "plan", lambda *a, **kw: plan)
         res, stats = climber_index.knn_batch(spark, Q[:1], K_SMALL, variant="knn")
@@ -265,10 +265,13 @@ class TestPersistence:
 
 
 class TestParamValidation:
-    def test_sample_smaller_than_r_raises(self, spark, small_df):
+    def test_sample_smaller_than_r_raises(self, spark, small_df, tmp_path):
+        """The check runs before anything is written: no index directory."""
         bad = ClimberParams(w=8, r=5000, m=4, capacity=100, alpha=0.01)
+        out = tmp_path / "should-not-exist-idx"
         with pytest.raises(ValueError, match="pivots"):
-            build_index(spark, small_df, "/tmp/should-not-exist-idx", bad)
+            build_index(spark, small_df, str(out), bad)
+        assert not out.exists()
 
     def test_short_series_raises(self, spark, small_df, climber_index, tmp_path):
         """One series shorter than the rest: a clear error, not a numpy one,

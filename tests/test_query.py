@@ -121,7 +121,7 @@ class TestResults:
         _, Q = queries
         qid = 0
         plan = climber_index.plan(Q[qid], K_SMALL, variant="od-smallest", qid=qid)
-        res = knn_scan(spark, climber_index.data_path, {qid: plan}, Q, K_SMALL)
+        res = knn_scan(spark, climber_index, {qid: plan}, Q, K_SMALL)
         stored = spark.read.parquet(climber_index.data_path)
         rows = (
             stored.where(stored.pid.isin(list(plan.pids)))
@@ -156,7 +156,7 @@ class TestResults:
 class TestScanOperator:
     def test_empty_plan(self, spark, climber_index, queries):
         _, Q = queries
-        res = knn_scan(spark, climber_index.data_path,
+        res = knn_scan(spark, climber_index,
                        {0: QueryPlan(pids=())}, Q, 5)
         assert res == {0: []}
 
@@ -176,8 +176,8 @@ class TestScanOperator:
         narrow = QueryPlan(pids=tuple(sorted(child.pids)), prefixes=((child.ord, child.end),),
                            expand_full=False)
         wide = QueryPlan(pids=tuple(sorted(child.pids)))
-        rn = knn_scan(spark, climber_index.data_path, {0: narrow}, Q, 200)
-        rw = knn_scan(spark, climber_index.data_path, {0: wide}, Q, 200)
+        rn = knn_scan(spark, climber_index, {0: narrow}, Q, 200)
+        rw = knn_scan(spark, climber_index, {0: wide}, Q, 200)
         assert len(rn[0]) <= len(rw[0])
         assert {i for i, _ in rn[0]} <= {i for i, _ in rw[0]}
 
@@ -193,5 +193,5 @@ class TestScanOperator:
             qid: climber_index.plan(Q[qid], K_SMALL, variant="knn", qid=qid)
             for qid in range(len(Q))
         }
-        res = knn_scan(spark, climber_index.data_path, plans, Q, K_SMALL)
+        res = knn_scan(spark, climber_index, plans, Q, K_SMALL)
         assert set(res) == set(range(len(Q)))
