@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
-from ..core.paa import paa_np, sample_paa, series_matrix, znorm_np
+from ..core.paa import paa_np, sample_paa, series_binary, series_matrix, znorm_np
 from ..core.query import QueryPlan, _query_matrix, occupancy, stored_columns, timed_knn
 from .isax import MAX_BITS, isax_symbols
 
@@ -52,7 +52,7 @@ def query_symbols(series: np.ndarray, w: int) -> np.ndarray:
 class BaselineIndex:
     """A built iSAX-baseline index: routing structure + parquet partitions."""
 
-    SCHEMA = "id long, series array<double>, pid long"  # the input's rows + their pid directory
+    SCHEMA = "id long, series binary, pid long"  # as CLIMBER stores them, + their pid directory
 
     name: str
     out_dir: str
@@ -87,7 +87,8 @@ def redistribute(
     out_dir: str,
 ) -> Tuple[Dict[int, int], int]:
     """Step 3: assign every series a pid via the (broadcast) router and write
-    the physical parquet partitions. Returns (pid occupancy, total rows)."""
+    the physical parquet partitions, ``series`` in CLIMBER's stored ``binary``
+    encoding (`paa.series_binary`). Returns (pid occupancy, total rows)."""
     blob = pickle.dumps(router, protocol=pickle.HIGHEST_PROTOCOL)
 
     def gen(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
@@ -95,12 +96,13 @@ def redistribute(
         for batch in batches:
             if not batch.num_rows:
                 continue
-            syms = isax_symbols(paa_np(znorm_np(series_matrix(batch.column("series"))), w), MAX_BITS)
+            X = series_matrix(batch.column("series"))
+            syms = isax_symbols(paa_np(znorm_np(X), w), MAX_BITS)
             pid = pa.array([int(local.route(s)) for s in syms], type=pa.int64())
-            yield pa.RecordBatch.from_arrays(batch.columns + [pid], names=batch.schema.names + ["pid"])
+            yield pa.RecordBatch.from_arrays(
+                [batch.column("id"), series_binary(X), pid], names=["id", "series", "pid"])
 
-    schema = ", ".join(f"{f.name} {f.dataType.simpleString()}" for f in series_df.schema.fields)
-    assigned = series_df.mapInArrow(gen, schema=f"{schema}, pid long")
+    assigned = series_df.select("id", "series").mapInArrow(gen, schema="id long, series binary, pid long")
     data_path = os.path.join(out_dir, "data")
     assigned.repartition("pid").write.mode("overwrite").partitionBy("pid").parquet(data_path)
     (pid,) = stored_columns(data_path, "pid")

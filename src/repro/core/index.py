@@ -13,13 +13,15 @@ Step 3  Algorithm 1 assignment of the sample, per-group tries, FFD packing
 Step 4  full-dataset redistribution: the skeleton (pivots included) ships to
         executors inside one ``mapInArrow`` closure (the paper's
         broadcast), which maps each ``(id, series)`` straight to
-        ``(gid, pid, node)``, passing the Arrow ``id`` and ``series``
-        arrays through untouched (``node`` is the landing trie node's
-        ordinal); a ``repartition(pid)`` shuffle + ``write.partitionBy("pid")``
-        produce the physical partitions, sorted by node ordinal so each
-        subtree's records are contiguous (the paper's in-partition layout).
-        Only ``id``, ``series``, ``gid``, ``node`` and the ``pid`` directory
-        are stored.
+        ``(gid, pid, node)`` (``node`` is the landing trie node's
+        ordinal), passing ``id`` through and re-emitting the decoded series
+        as one fixed-width ``binary`` value per row (`paa.series_binary`):
+        the shuffle and the parquet write then copy one value per series,
+        not one list entry per reading. A ``repartition(pid)`` shuffle +
+        ``write.partitionBy("pid")`` produce the physical partitions, sorted
+        by node ordinal so each subtree's records are contiguous (the
+        paper's in-partition layout). Only ``id``, ``series``, ``gid``,
+        ``node`` and the ``pid`` directory are stored.
 
 After the write, the driver reads back the ``pid`` and ``node`` columns
 (`query.stored_columns`, no Spark job) for exact partition occupancies and
@@ -38,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
-from .paa import sample_paa, series_matrix
+from .paa import sample_paa, series_binary, series_matrix
 from .pivots import select_pivots, signatures_np
 from .query import QueryPlan, occupancy, route_adaptive, route_knn, route_od_smallest, stored_columns, timed_knn
 from .skeleton import Skeleton, build_skeleton
@@ -82,9 +84,11 @@ class BuildReport:
 class ClimberIndex:
     """Handle over a built index: skeleton + parquet partitions + stats."""
 
-    # What Step 4 writes: the input's (id, series), read by `paa.series_matrix`
-    # as list<double>, plus the assignment; ``pid`` is the directory.
-    SCHEMA = "id long, series array<double>, gid long, node long, pid long"
+    # What Step 4 writes: the input's id, its series as n float64 readings in
+    # one binary value (decoded by `paa.series_matrix`), and the assignment;
+    # ``pid`` is the directory. `save` records it in meta.json and `load`
+    # refuses an index stored under any other schema.
+    SCHEMA = "id long, series binary, gid long, node long, pid long"
 
     out_dir: str
     skeleton: Skeleton
@@ -133,6 +137,7 @@ class ClimberIndex:
             "params": self.params.__dict__,
             "pid_counts": {str(k): v for k, v in self.pid_counts.items()},
             "n_series": self.n_series,
+            "schema": self.SCHEMA,
         }
         with open(os.path.join(self.out_dir, "meta.json"), "w") as f:
             json.dump(meta, f)
@@ -143,6 +148,11 @@ class ClimberIndex:
             sk = Skeleton.deserialize(f.read())
         with open(os.path.join(out_dir, "meta.json")) as f:
             meta = json.load(f)
+        if meta.get("schema") != cls.SCHEMA:  # None: built before series were stored as binary
+            raise ValueError(
+                f"index at {out_dir} records stored schema {meta.get('schema')!r}, "
+                f"expected {cls.SCHEMA!r}; rebuild it with build_index"
+            )
         params = ClimberParams(**meta["params"])
         return cls(
             out_dir=out_dir, skeleton=sk, params=params,
@@ -157,8 +167,9 @@ def assign_partitions(df: DataFrame, sk: Skeleton) -> DataFrame:
     One pass per Arrow batch: signatures (`Skeleton.signatures`) and then
     Algorithm 1 + trie navigation (`Skeleton.assign_records`), with the
     serialized skeleton captured in the task closure. The incoming ``id``
-    and ``series`` arrays are passed through as they are; only ``gid``,
-    ``pid`` and ``node`` are built.
+    array is passed through; ``series`` leaves as the stored ``binary``
+    encoding of the decoded matrix (`paa.series_binary`), whatever layout
+    it came in.
     """
     blob = sk.serialize()
 
@@ -167,17 +178,16 @@ def assign_partitions(df: DataFrame, sk: Skeleton) -> DataFrame:
         for batch in batches:
             if not batch.num_rows:
                 continue
-            ids, series = batch.column("id"), batch.column("series")
-            sig_rs, _ = local.signatures(series_matrix(series))
+            ids, X = batch.column("id"), series_matrix(batch.column("series"))
+            sig_rs, _ = local.signatures(X)
             gid, pid, node = local.assign_records(sig_rs, ids.to_numpy())
             yield pa.RecordBatch.from_arrays(
-                [ids, series, pa.array(gid), pa.array(pid), pa.array(node)],
+                [ids, series_binary(X), pa.array(gid), pa.array(pid), pa.array(node)],
                 names=["id", "series", "gid", "pid", "node"],
             )
 
-    df = df.select("id", "series")
-    schema = ", ".join(f"{f.name} {f.dataType.simpleString()}" for f in df.schema.fields)
-    return df.mapInArrow(gen, schema=f"{schema}, gid long, pid long, node long")
+    return df.select("id", "series").mapInArrow(
+        gen, schema="id long, series binary, gid long, pid long, node long")
 
 
 def build_index(

@@ -14,12 +14,14 @@ Two forms are provided:
   ``(id, series)`` rows to ``(id, paa)`` via ``mapInArrow`` so the kernel
   runs on executors straight over the Arrow batches.
 
-:func:`series_matrix` is the one decoder of a stored ``series`` column: it
-views an Arrow ``list<double>`` array as a (rows × n) matrix without a
-per-row copy. Every executor kernel (PAA, the Step-4 assignment, the
-baselines' redistribution, the kNN scan) reads its series through it, so
-each rejects a non-finite reading. :func:`sample_paa` is Step 1's
-α-sample, shared by CLIMBER and the iSAX baselines.
+:func:`series_matrix` is the one decoder of a ``series`` column: it views
+an Arrow array as a (rows × n) matrix without a per-row copy, in either
+layout — the input's ``list<double>``, or the stored ``binary`` whose values
+each hold a series' n little-endian float64 readings, as
+:func:`series_binary` builds it. Every executor kernel (PAA, the Step-4
+assignment, the baselines' redistribution, the kNN scan) reads its series
+through it, so each rejects a non-finite reading. :func:`sample_paa` is
+Step 1's α-sample, shared by CLIMBER and the iSAX baselines.
 """
 from __future__ import annotations
 
@@ -84,32 +86,67 @@ def znorm_np(series: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 
 
 def series_matrix(col: pa.Array) -> np.ndarray:
-    """View an Arrow ``list<double>`` column as a (rows × n) float64 matrix.
+    """View an Arrow ``series`` column as a (rows × n) float64 matrix.
 
-    No per-row copy: the result is a reshaped view of the list's child
-    values (read-only). Slice offsets are honoured, so a sliced array
+    ``col`` is ``list<double>`` (the input) or ``binary`` holding each
+    series' n little-endian float64 readings (the stored rows). No per-row
+    copy: the result is a view of the list's child values or of the binary
+    values buffer. Slice offsets are honoured, so a sliced array
     decodes exactly its own rows. An empty array gives a (0 × 0) matrix.
     Raises ``ValueError`` on a null series, a null or non-finite (NaN, ±inf)
-    reading, or series of unequal length.
+    reading, series of unequal length, or a binary value whose byte length
+    is not a multiple of 8.
     """
     rows = len(col)
     if col.null_count:
         raise ValueError(f"null series: {col.null_count} of {rows} rows are null")
-    offsets = col.offsets.to_numpy()  # rows + 1 entries, not rebased by a slice
+    if not rows:
+        return np.empty((0, 0))
+    binary = pa.types.is_binary(col.type)
+    if binary:  # offsets not rebased by a slice: start at the slice's first row
+        offsets = np.frombuffer(col.buffers()[1], np.int32, rows + 1, col.offset * 4)
+    else:
+        offsets = col.offsets.to_numpy()
     lengths = np.diff(offsets)
-    if rows and (lengths != lengths[0]).any():
+    if (lengths != lengths[0]).any():
         raise ValueError(
             f"ragged series: lengths range from {lengths.min()} to {lengths.max()}; "
             "every series must have the same length"
         )
-    values = col.flatten()  # exactly this slice's readings
-    if values.null_count:
-        raise ValueError(f"null readings: {values.null_count} values are null")
-    n = int(lengths[0]) if rows else 0
-    M = np.asarray(values.to_numpy(zero_copy_only=False), dtype=np.float64).reshape(rows, n)
+    if binary:
+        if lengths[0] % 8:
+            raise ValueError(f"series of {lengths[0]} bytes: not a whole number of float64 readings")
+        n = int(lengths[0]) // 8
+        M = np.frombuffer(col.buffers()[2], np.dtype("<f8"), rows * n, int(offsets[0]))
+    else:
+        values = col.flatten()  # exactly this slice's readings
+        if values.null_count:
+            raise ValueError(f"null readings: {values.null_count} values are null")
+        n = int(lengths[0])
+        M = np.asarray(values.to_numpy(zero_copy_only=False), dtype=np.float64)
+    M = M.reshape(rows, n)
     if not np.isfinite(M).all():
         raise ValueError(f"non-finite readings: {(~np.isfinite(M)).sum()} values are NaN or infinite")
     return M
+
+
+def series_binary(M: np.ndarray) -> pa.BinaryArray:
+    """(rows × n) matrix → the stored ``series`` column: one ``binary`` value
+    per row holding its n little-endian float64 readings, built over the
+    matrix's bytes with no per-row work (no copy when ``M`` is already
+    C-contiguous float64). Raises ``ValueError`` when the bytes exceed the
+    int32 offset range of one Arrow ``binary`` array."""
+    rows, n = M.shape
+    offsets = np.arange(rows + 1, dtype=np.int64) * (8 * n)
+    if offsets[-1] > np.iinfo(np.int32).max:
+        raise ValueError(
+            f"{offsets[-1]} bytes of series in one batch exceed the binary offset range; "
+            "use smaller Arrow batches"
+        )
+    values = np.ascontiguousarray(M, dtype=np.dtype("<f8"))
+    return pa.Array.from_buffers(
+        pa.binary(), rows, [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(values)]
+    )
 
 
 def _list_column(M: np.ndarray) -> pa.ListArray:

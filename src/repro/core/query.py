@@ -19,8 +19,9 @@ with the index's ``SCHEMA`` and ``basePath``, so a call neither discovers
 partitions nor infers a schema: the scan is its one Spark job. The
 queries and the plans, inverted into a ``pid → queries`` map
 (:func:`plans_by_pid`), are broadcast; a ``mapInArrow`` kernel runs
-:func:`scan_batch` on each Arrow batch: decode the series once, group the
-rows by ``pid``, and make one multi-query `distances.topk` per pid for the
+:func:`scan_batch` on each Arrow batch: decode the series once (the stored
+``binary`` of n float64 readings, by `paa.series_matrix`), group the rows by
+``pid``, and make one multi-query `distances.topk` per pid for the
 queries that scan the whole partition, plus one per query that keeps the
 trie-node filter (§VI "Localized Record-Level Similarity"): the rows whose
 ``node`` ordinal lies in the target node's range ``[ord, end)``; ``node`` is

@@ -7,12 +7,14 @@ hundred tests don't rebuild Spark state per test.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from repro.baselines.dpisax import build_dpisax
 from repro.baselines.dss import dss_knn
 from repro.baselines.tardis import build_tardis
 from repro.core.index import ClimberParams, build_index
+from repro.core.paa import series_matrix
 from repro.synth_data import random_walk_series
 
 # Tiny-but-structured default workload for index/query tests.
@@ -20,6 +22,11 @@ N_SMALL = 1200
 LEN_SMALL = 64
 SMALL_PARAMS = ClimberParams(w=8, r=16, m=4, capacity=120, alpha=0.35, seed=7)
 K_SMALL = 10
+
+
+def decode_series(values) -> np.ndarray:
+    """Stored ``series`` values (the bytes of a pandas column) → (rows × n) matrix."""
+    return series_matrix(pa.array(list(values), pa.binary()))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """CLIMBER-INX end-to-end build tests on Spark (paper Fig. 6)."""
 import glob
+import json
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -11,10 +13,11 @@ from pyspark.sql import functions as F
 
 from repro.core.assignment import FALLBACK_GID
 from repro.core.index import ClimberIndex, ClimberParams, assign_partitions, build_index
+from repro.core.paa import series_matrix
 from repro.core.query import QueryPlan, _route_knn, knn_scan, occupancy, stored_columns
 from repro.core.trie import iter_nodes
 from repro.oracle import assert_equivalent
-from tests.conftest import K_SMALL, N_SMALL, SMALL_PARAMS
+from tests.conftest import K_SMALL, N_SMALL, SMALL_PARAMS, decode_series
 
 
 class TestBuildOutputs:
@@ -55,7 +58,7 @@ def _stored_signatures(spark, idx, limit=None):
     """Stored rows ordered by id, with P⁴ signatures recomputed from ``series``."""
     df = spark.read.parquet(idx.data_path).orderBy("id")
     pdf = (df.limit(limit) if limit else df).toPandas()
-    sig_rs, sig_ri = idx.skeleton.signatures(np.stack(pdf["series"].to_numpy()))
+    sig_rs, sig_ri = idx.skeleton.signatures(decode_series(pdf["series"]))
     return pdf, sig_rs, sig_ri
 
 
@@ -75,6 +78,17 @@ class TestDataLayout:
         gid, pid, _ = climber_index.skeleton.assign_records(sig_rs, pdf["id"].to_numpy())
         np.testing.assert_array_equal(gid, pdf["gid"].to_numpy())
         np.testing.assert_array_equal(pid, pdf["pid"].to_numpy())
+
+    @pytest.mark.parametrize("name", ["climber_index", "tardis_index", "dpisax_index"])
+    def test_stored_series_decode_to_input(self, request, name, small_matrix):
+        """Every index stores ``series`` as one ``binary`` value per row that
+        decodes bit for bit to the input's readings."""
+        idx = request.getfixturevalue(name)
+        t = pq.read_table(idx.data_path, columns=["id", "series"]).sort_by("id")
+        assert t.schema.field("series").type == pa.binary()
+        np.testing.assert_array_equal(t.column("id").to_numpy(), np.arange(N_SMALL))
+        X = series_matrix(t.column("series").combine_chunks())
+        np.testing.assert_array_equal(X.view(np.uint64), small_matrix.view(np.uint64))
 
     def test_node_is_a_sorted_long_ordinal(self, climber_index):
         """``node`` is stored as int64 and sorted within every partition file,
@@ -208,7 +222,7 @@ class TestAssignKernel:
         np.testing.assert_array_equal(pdf["gid"].to_numpy(), gid)
         np.testing.assert_array_equal(pdf["pid"].to_numpy(), pid)
         np.testing.assert_array_equal(pdf["node"].to_numpy(), nodes)
-        np.testing.assert_array_equal(np.stack(pdf["series"].to_numpy()), small_matrix)
+        np.testing.assert_array_equal(decode_series(pdf["series"]), small_matrix)
 
     def test_empty_input_partitions(self, spark, small_df, tmp_path):
         """Most of the 16 input partitions are empty; no row is lost."""
@@ -254,6 +268,27 @@ class TestPersistence:
         assert loaded.pid_counts == climber_index.pid_counts
         assert loaded.params == climber_index.params
         assert loaded.skeleton.n_partitions == climber_index.skeleton.n_partitions
+
+    def test_meta_records_stored_schema(self, climber_index):
+        with open(os.path.join(climber_index.out_dir, "meta.json")) as f:
+            assert json.load(f)["schema"] == ClimberIndex.SCHEMA == (
+                "id long, series binary, gid long, node long, pid long")
+
+    @pytest.mark.parametrize("schema", [None, "id long, series array<double>, gid long, node long, pid long"])
+    def test_old_layout_refused(self, climber_index, tmp_path, schema):
+        """An index without the binary-series marker (built before it) or
+        with another schema is refused on load, with a rebuild hint."""
+        out = tmp_path / "old"
+        out.mkdir()
+        shutil.copy(os.path.join(climber_index.out_dir, "skeleton.pkl"), out)
+        with open(os.path.join(climber_index.out_dir, "meta.json")) as f:
+            meta = json.load(f)
+        meta.pop("schema")
+        if schema:
+            meta["schema"] = schema
+        (out / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="rebuild it with build_index"):
+            ClimberIndex.load(str(out))
 
     def test_loaded_index_answers_queries(self, spark, climber_index, queries, ground_truth):
         from tests.conftest import K_SMALL

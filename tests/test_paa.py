@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.paa import paa_np, segment_bounds, series_matrix, with_paa, znorm_np
+from repro.core.paa import paa_np, segment_bounds, series_binary, series_matrix, with_paa, znorm_np
 from repro.oracle import assert_equivalent
 
 
@@ -130,6 +130,82 @@ class TestSeriesMatrix:
     def test_non_finite_reading_raises(self, value):
         with pytest.raises(ValueError, match="non-finite readings: 1 values"):
             series_matrix(self._lists([[1.0, 2.0], [3.0, value]]))
+
+
+class TestSeriesBinary:
+    """The stored layout: one ``binary`` value of n little-endian float64
+    readings per series, built by `series_binary`, decoded by `series_matrix`."""
+
+    @staticmethod
+    def _bits(M):
+        return np.ascontiguousarray(M).view(np.uint64)
+
+    @staticmethod
+    def _values(rows):
+        return pa.array(rows, type=pa.binary())
+
+    def test_round_trip_bit_exact(self):
+        X = np.random.default_rng(7).normal(size=(9, 11))
+        X[0, :4] = [-0.0, 5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).tiny]
+        col = series_binary(X)
+        assert col.type == pa.binary() and len(col) == 9
+        assert col[3].as_py() == X[3].astype("<f8").tobytes()
+        np.testing.assert_array_equal(self._bits(series_matrix(col)), self._bits(X))
+
+    def test_sliced_array_decodes_only_its_rows(self):
+        X = np.random.default_rng(8).normal(size=(6, 5))
+        col = series_binary(X).slice(2, 3)
+        assert col.offset == 2
+        np.testing.assert_array_equal(self._bits(series_matrix(col)), self._bits(X[2:5]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.integers(1, 12), n=st.integers(1, 9), start=st.integers(0, 12), seed=st.integers(0, 2**16),
+    )
+    def test_slices_round_trip(self, rows, n, start, seed):
+        X = np.random.default_rng(seed).normal(size=(rows, n))
+        start = min(start, rows - 1)
+        col = series_binary(X).slice(start)
+        np.testing.assert_array_equal(self._bits(series_matrix(col)), self._bits(X[start:]))
+
+    def test_zero_copy(self):
+        """A C-contiguous float64 matrix is encoded and decoded without a copy."""
+        X = np.arange(12.0).reshape(4, 3)
+        assert np.shares_memory(series_matrix(series_binary(X)), X)
+
+    def test_non_contiguous_matrix(self):
+        X = np.arange(40.0).reshape(5, 8)[:, ::2]
+        np.testing.assert_array_equal(series_matrix(series_binary(X)), X)
+
+    def test_empty_array(self):
+        M = series_matrix(self._values([]))
+        assert M.shape == (0, 0) and M.dtype == np.float64
+        assert series_matrix(series_binary(np.empty((0, 4)))).shape == (0, 0)
+
+    def test_null_series_raises(self):
+        with pytest.raises(ValueError, match="null series"):
+            series_matrix(self._values([b"\0" * 8, None]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reading_raises(self, value):
+        with pytest.raises(ValueError, match="non-finite readings: 1 values"):
+            series_matrix(series_binary(np.array([[1.0, 2.0], [3.0, value]])))
+
+    def test_length_not_whole_readings_raises(self):
+        with pytest.raises(ValueError, match="not a whole number of float64 readings"):
+            series_matrix(self._values([b"\0" * 12, b"\0" * 12]))
+
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(ValueError, match="ragged series"):
+            series_matrix(self._values([b"\0" * 16, b"\0" * 8]))
+
+    def test_builder_raises_past_int32_offsets(self):
+        """2²⁰ rows × 257 readings is 2 155 872 256 bytes, past 2³¹ − 1: the
+        builder refuses before copying, rather than wrap the offsets (the
+        matrix is a broadcast view, so nothing of that size is allocated)."""
+        M = np.broadcast_to(np.zeros((1, 1)), (1 << 20, 257))
+        with pytest.raises(ValueError, match="exceed the binary offset range"):
+            series_binary(M)
 
 
 class TestWithPaaSpark:

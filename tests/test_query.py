@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.query import QueryPlan, knn_scan
 from repro.oracle import assert_equivalent
-from tests.conftest import K_SMALL
+from tests.conftest import K_SMALL, decode_series
 
 
 class TestRouting:
@@ -130,9 +130,9 @@ class TestResults:
         )
         long = pd.DataFrame(
             [
-                (int(r["id"]), j, float(v))
-                for _, r in rows.iterrows()
-                for j, v in enumerate(r["series"])
+                (int(i), j, float(v))
+                for i, x in zip(rows["id"], decode_series(rows["series"]))
+                for j, v in enumerate(x)
             ],
             columns=["id", "idx", "val"],
         )
