@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
+import shutil
 import tempfile
 
 
@@ -20,7 +22,9 @@ def resolve_workdir(args) -> str:
     if args.workdir:
         os.makedirs(args.workdir, exist_ok=True)
         return args.workdir
-    return tempfile.mkdtemp(prefix="repro-job-")
+    d = tempfile.mkdtemp(prefix="repro-job-")
+    atexit.register(shutil.rmtree, d, ignore_errors=True)
+    return d
 
 
 def emit(rows, args, table_str: str) -> None:

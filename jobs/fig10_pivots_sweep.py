@@ -8,19 +8,21 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import base_parser, emit, resolve_workdir  # noqa: E402
 
-from repro.harness.experiments import run_pivot_sweep  # noqa: E402
+from repro.harness.experiments import run_param_sweep  # noqa: E402
 from repro.harness.session import get_spark  # noqa: E402
 from repro.harness.tables import render_table  # noqa: E402
+from repro.synth_data import SERIES_DATASETS  # noqa: E402
 
 
 def main() -> None:
     p = base_parser(__doc__)
     p.add_argument("--pivots", type=int, nargs="+", default=[16, 32, 64, 128, 256])
-    p.add_argument("--datasets", nargs="+", default=["randomwalk", "sift", "dna", "eeg"])
+    p.add_argument("--datasets", nargs="+", default=list(SERIES_DATASETS))
     args = p.parse_args()
     spark = get_spark("fig10")
-    rows = run_pivot_sweep(spark, resolve_workdir(args), pivots=args.pivots,
-                           datasets=args.datasets, k=args.k, n_queries=args.queries)
+    rows = run_param_sweep(spark, resolve_workdir(args), "pivots", args.pivots,
+                           [(ds, 200) for ds in args.datasets],
+                           k=args.k, n_queries=args.queries)
     emit(rows, args, render_table(
         rows,
         ["pivots", "dataset", "sample_s", "skeleton_s", "redistribute_s",

@@ -20,19 +20,20 @@ def main() -> None:
     args = p.parse_args()
     spark = get_spark("fig11")
     wd = resolve_workdir(args)
-    rows = []
+    rows, tables = [], []
     if args.part in ("a", "both"):
-        a = run_adaptive_eval(spark, wd + "/a", n_queries=min(args.queries, 6))
+        a = run_adaptive_eval(spark, wd, n_queries=min(args.queries, 6))
         rows += a
-        print(render_table(a, ["ratio", "system", "recall", "improvement_pct"],
-                           "Fig. 11(a) — adaptive improvement at K = ratio × node size"))
+        tables.append(render_table(
+            a, ["ratio", "system", "recall", "improvement_pct"],
+            "Fig. 11(a) — adaptive improvement at K = ratio × node size"))
     if args.part in ("b", "both"):
-        b = run_od_smallest_eval(spark, wd + "/b", k=args.k, n_queries=args.queries)
+        b = run_od_smallest_eval(spark, wd, k=args.k, n_queries=args.queries)
         rows += b
-        print(render_table(b, ["system", "recall", "rows_scanned", "od_data_ratio",
-                               "od_recall_ratio"],
-                           "Fig. 11(b) — OD-Smallest relative scores"))
-    emit([], args, "")
+        tables.append(render_table(
+            b, ["system", "recall", "rows_scanned", "od_data_ratio", "od_recall_ratio"],
+            "Fig. 11(b) — OD-Smallest relative scores"))
+    emit(rows, args, "\n\n".join(tables))
     spark.stop()
 
 

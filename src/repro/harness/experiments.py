@@ -8,30 +8,37 @@ scaled by the same factor family: r=64 pivots (paper 200), prefix m=6
 block). Queries are random members of the dataset; results average over
 the batch (paper: 50 queries; default 10 here, configurable).
 
-Every harness returns a list of row dicts and is wrapped by a
-``jobs/<name>.py`` entrypoint and a ``benchmarks/bench_*.py`` target; the
-row schema is stable so EXPERIMENTS.md can cite paper vs. measured values
-column by column.
+Every runner measures through two helpers: :func:`built` builds one
+distributed index under one wall clock, and :func:`query_row` measures
+one query batch (time, recall against Dss, data touched). Each runner
+returns a list of row dicts and is wrapped by a ``jobs/<name>.py``
+entrypoint; the row schema is stable so EXPERIMENTS.md can cite paper
+vs. measured values column by column.
 """
 from __future__ import annotations
 
 import os
 import shutil
+import tempfile
 import time
-from typing import Dict, Iterable, List, Sequence
+from contextlib import ExitStack, contextmanager
+from dataclasses import replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from ..baselines.common import BaselineIndex
 from ..baselines.dpisax import build_dpisax
 from ..baselines.dss import timed_dss_knn
 from ..baselines.tardis import build_tardis
-from ..core.index import ClimberParams, build_index
+from ..core.index import ClimberIndex, ClimberParams, build_index
+from ..core.query import QueryStats
 from ..memsys.odyssey import CapacityExceeded, OdysseyEngine
 from ..memsys.parlayann import ParlayAnnHnsw
 from ..synth_data import SERIES_DATASETS
-from .recall import recall_batch, recall_one
+from .recall import recall_batch
 
 #: paper GB sizes → series counts (RandomWalk rows of Figs 7–8 and Table I)
 GB_TO_N = {200: 10_000, 400: 20_000, 600: 30_000, 800: 40_000, 1000: 50_000, 1500: 75_000}
@@ -40,6 +47,7 @@ GB_TO_N = {200: 10_000, 400: 20_000, 600: 30_000, 800: 40_000, 1000: 50_000, 150
 DEFAULT_K = 50  # paper: 500
 DEFAULT_QUERIES = 10  # paper: 50
 DEFAULT_PARAMS = ClimberParams()  # w=16, r=64, m=6, c=1000, alpha=0.25
+SWEEP_GB = 400  # the RandomWalk size of Figs. 9, 11 and 12
 
 #: Table I memory budgets (bytes of the raw float64 matrix): Odyssey fails
 #: above the 800 GB-equivalent (N=40k × 256 × 8 ≈ 82 MiB), ParlayANN above
@@ -47,7 +55,12 @@ DEFAULT_PARAMS = ClimberParams()  # w=16, r=64, m=6, c=1000, alpha=0.25
 ODYSSEY_BUDGET = 90 * 1024 * 1024
 PARLAYANN_BUDGET = 45 * 1024 * 1024
 
+SYSTEMS = ("CLIMBER", "TARDIS", "DPiSAX")  # the distributed indexes, in row order
 CLIMBER_VARIANTS = ("knn", "adaptive-2x", "adaptive-4x")
+DEFAULT_VARIANT = "adaptive-4x"  # the paper's CLIMBER outside Figs. 9 and 11
+ADAPTIVE_RATIOS = (1, 2, 4, 6, 10)  # Fig. 11(a)'s K / target-node-size
+#: swept parameter, as row key and job column → its ClimberParams field
+SWEEPS = {"pivots": "r", "prefix": "m"}
 
 
 def dataset_df(spark: SparkSession, name: str, n: int, seed: int = 0) -> DataFrame:
@@ -72,8 +85,74 @@ def collect_matrix(df: DataFrame) -> tuple:
     return pdf["id"].to_numpy(), np.stack(pdf["series"].to_numpy())
 
 
-def _avg(d: Dict[int, int]) -> float:
-    return float(np.mean(list(d.values()))) if d else 0.0
+def _avg(d: Dict[int, int]) -> Optional[float]:
+    return float(np.mean(list(d.values()))) if d else None
+
+
+# ---------------------------------------------------------------------------
+# The two measurement helpers every runner uses
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def built(
+    spark: SparkSession, system: str, df: DataFrame, workdir: str, params: ClimberParams
+) -> Iterator[Tuple[object, float]]:
+    """Build ``system``'s index over ``df`` in a fresh directory under ``workdir``.
+
+    Yields ``(index, build_s)``, with ``build_s`` one wall clock around the
+    whole build for every system; on exit deletes that directory and
+    nothing else of ``workdir``.
+    """
+    os.makedirs(workdir, exist_ok=True)
+    path = tempfile.mkdtemp(prefix=f"{system.lower()}-", dir=workdir)
+    baseline = dict(w=params.w, capacity=params.capacity, alpha=params.alpha, seed=params.seed)
+    try:
+        t0 = time.perf_counter()
+        if system == "CLIMBER":
+            index = build_index(spark, df, path, params)
+        elif system == "TARDIS":
+            index = build_tardis(spark, df, path, **baseline)
+        elif system == "DPiSAX":
+            index = build_dpisax(spark, df, path, **baseline)
+        else:
+            raise ValueError(f"unknown system {system!r}; options: {SYSTEMS}")
+        yield index, time.perf_counter() - t0
+    finally:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+def query_row(
+    spark: SparkSession, index, queries: np.ndarray, k: int, gt, variant: Optional[str]
+) -> Dict:
+    """Measure one query batch against the exact answers ``gt``.
+
+    ``index`` is a CLIMBER index (queried as ``variant``), a TARDIS or
+    DPiSAX index, or a built in-memory engine. Returns the mean seconds per
+    query, the recall, and the mean partitions and rows each query touched
+    (None for an in-memory engine, which has no partitions).
+    """
+    t0 = time.perf_counter()
+    if isinstance(index, ClimberIndex):
+        res, stats = index.knn_batch(spark, queries, k, variant=variant)
+    elif isinstance(index, BaselineIndex):
+        res, stats = index.knn_batch(spark, queries, k)
+    else:
+        res = index.knn_batch(queries, k)
+        stats = QueryStats(seconds=time.perf_counter() - t0)
+    return dict(query_s=stats.seconds / max(1, len(res)), recall=recall_batch(res, gt),
+                partitions=_avg(stats.partitions_touched),
+                rows_scanned=_avg(stats.rows_scanned))
+
+
+@contextmanager
+def _instance(spark: SparkSession, dataset: str, gb: int, n_queries: int):
+    """One cached dataset instance and its query batch, unpersisted on exit."""
+    df = dataset_df(spark, dataset, GB_TO_N[gb])
+    try:
+        yield df, pick_queries(df, n_queries)
+    finally:
+        df.unpersist()
 
 
 # ---------------------------------------------------------------------------
@@ -81,134 +160,56 @@ def _avg(d: Dict[int, int]) -> float:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _built_systems(spark: SparkSession, df: DataFrame, workdir: str):
+    """Every distributed system built once: ``{system: (index, build_s)}``."""
+    with ExitStack() as stack:
+        yield {s: stack.enter_context(built(spark, s, df, workdir, DEFAULT_PARAMS))
+               for s in SYSTEMS}
+
+
+def _query_systems(spark, df, systems, queries, k, variants: Sequence[str]) -> List[Dict]:
+    """Dss, then one row per built system (CLIMBER once per variant)."""
+    gt, dss_s = timed_dss_knn(df, queries, k)
+    rows = [dict(system="Dss", build_s=0.0, index_bytes=0, query_s=dss_s / max(1, len(gt)),
+                 recall=1.0, partitions=None, rows_scanned=None)]
+    for name, (index, build_s) in systems.items():
+        for variant in variants if name == "CLIMBER" else (None,):
+            rows.append(dict(system=name if variant is None else f"{name}-{variant}",
+                             build_s=build_s, index_bytes=index.global_index_size_bytes(),
+                             **query_row(spark, index, queries, k, gt, variant)))
+    return rows
+
+
 def eval_distributed(
-    spark: SparkSession,
-    df: DataFrame,
-    queries: np.ndarray,
-    k: int,
-    workdir: str,
-    *,
-    params: ClimberParams = DEFAULT_PARAMS,
-    climber_variants: Sequence[str] = CLIMBER_VARIANTS,
-    include_baselines: bool = True,
-    include_dss: bool = True,
-    ground_truth=None,
-    keep_index: bool = False,
+    spark: SparkSession, df: DataFrame, queries: np.ndarray, k: int, workdir: str
 ) -> List[Dict]:
-    """Build + query every distributed system on one dataset instance.
-
-    Returns one row per (system, variant) with build/query/recall metrics.
-    ``ground_truth`` may be passed in to avoid recomputing Dss twice when
-    it is both a baseline row and the recall reference.
-    """
-    os.makedirs(workdir, exist_ok=True)
-    rows: List[Dict] = []
-
-    if ground_truth is None:
-        gt, dss_s = timed_dss_knn(df, queries, k)
-    else:
-        gt, dss_s = ground_truth
-    if include_dss:
-        rows.append(
-            dict(system="Dss", build_s=0.0, index_bytes=0, query_s=dss_s / max(1, len(gt)),
-                 recall=1.0, partitions=None, rows_scanned=None)
-        )
-
-    # ---- CLIMBER: build once, query per variant -------------------------
-    cl_dir = os.path.join(workdir, "climber")
-    t0 = time.perf_counter()
-    idx = build_index(spark, df, cl_dir, params)
-    cl_build = time.perf_counter() - t0
-    for variant in climber_variants:
-        res, stats = idx.knn_batch(spark, queries, k, variant=variant)
-        rows.append(
-            dict(system=f"CLIMBER-{variant}", build_s=cl_build,
-                 index_bytes=idx.global_index_size_bytes(),
-                 query_s=stats.seconds / max(1, len(res)), recall=recall_batch(res, gt),
-                 partitions=_avg(stats.partitions_touched),
-                 rows_scanned=_avg(stats.rows_scanned))
-        )
-
-    if include_baselines:
-        for name, builder in (("TARDIS", build_tardis), ("DPiSAX", build_dpisax)):
-            bdir = os.path.join(workdir, name.lower())
-            bidx = builder(
-                spark, df, bdir, w=params.w, capacity=params.capacity,
-                alpha=params.alpha, seed=params.seed,
-            )
-            res, stats = bidx.knn_batch(spark, queries, k)
-            rows.append(
-                dict(system=name, build_s=bidx.build_s,
-                     index_bytes=bidx.global_index_size_bytes(),
-                     query_s=stats.seconds / max(1, len(res)), recall=recall_batch(res, gt),
-                     partitions=_avg(stats.partitions_touched),
-                     rows_scanned=_avg(stats.rows_scanned))
-            )
-            if not keep_index:
-                shutil.rmtree(bdir, ignore_errors=True)
-    if not keep_index:
-        shutil.rmtree(cl_dir, ignore_errors=True)
-    return rows
+    """Build every distributed system on one dataset instance, then query
+    Dss and each system (CLIMBER as its default variant); one row per system
+    with build/query/recall metrics."""
+    with _built_systems(spark, df, workdir) as systems:
+        return _query_systems(spark, df, systems, queries, k, (DEFAULT_VARIANT,))
 
 
 # ---------------------------------------------------------------------------
-# Fig. 7(a,b) + Fig. 8(a,b): all four datasets at the 200 GB-equivalent
+# Figs. 7 and 8: every system per dataset (a,b) and per RandomWalk size (c,d)
 # ---------------------------------------------------------------------------
 
 
-def run_dataset_eval(
+def run_eval(
     spark: SparkSession,
     workdir: str,
+    points: Sequence[Tuple[str, int]],
     *,
-    datasets: Iterable[str] = ("randomwalk", "sift", "dna", "eeg"),
-    gb: int = 200,
     k: int = DEFAULT_K,
     n_queries: int = DEFAULT_QUERIES,
-    params: ClimberParams = DEFAULT_PARAMS,
-    climber_variants: Sequence[str] = ("adaptive-4x",),
 ) -> List[Dict]:
-    n = GB_TO_N[gb]
+    """:func:`eval_distributed` at each ``(dataset, gb)`` point."""
     rows: List[Dict] = []
-    for ds in datasets:
-        df = dataset_df(spark, ds, n)
-        queries = pick_queries(df, n_queries)
-        sub = eval_distributed(
-            spark, df, queries, k, os.path.join(workdir, ds),
-            params=params, climber_variants=climber_variants,
-        )
-        for r in sub:
-            rows.append(dict(dataset=ds, gb=gb, n=n, k=k, **r))
-        df.unpersist()
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fig. 7(c,d) + Fig. 8(c,d): RandomWalk size sweep
-# ---------------------------------------------------------------------------
-
-
-def run_size_sweep(
-    spark: SparkSession,
-    workdir: str,
-    *,
-    gbs: Sequence[int] = (200, 400, 600, 800, 1000),
-    k: int = DEFAULT_K,
-    n_queries: int = DEFAULT_QUERIES,
-    params: ClimberParams = DEFAULT_PARAMS,
-    climber_variants: Sequence[str] = ("adaptive-4x",),
-) -> List[Dict]:
-    rows: List[Dict] = []
-    for gb in gbs:
-        n = GB_TO_N[gb]
-        df = dataset_df(spark, "randomwalk", n)
-        queries = pick_queries(df, n_queries)
-        sub = eval_distributed(
-            spark, df, queries, k, os.path.join(workdir, f"gb{gb}"),
-            params=params, climber_variants=climber_variants,
-        )
-        for r in sub:
-            rows.append(dict(dataset="randomwalk", gb=gb, n=n, k=k, **r))
-        df.unpersist()
+    for ds, gb in points:
+        with _instance(spark, ds, gb, n_queries) as (df, queries):
+            rows += [dict(dataset=ds, gb=gb, n=GB_TO_N[gb], k=k, **r)
+                     for r in eval_distributed(spark, df, queries, k, workdir)]
     return rows
 
 
@@ -221,85 +222,68 @@ def run_k_sweep(
     spark: SparkSession,
     workdir: str,
     *,
-    gb: int = 400,
+    gb: int = SWEEP_GB,
     ks: Sequence[int] = (10, 25, 50, 100, 200, 400),
     n_queries: int = DEFAULT_QUERIES,
-    params: ClimberParams = DEFAULT_PARAMS,
 ) -> List[Dict]:
-    n = GB_TO_N[gb]
-    df = dataset_df(spark, "randomwalk", n)
-    queries = pick_queries(df, n_queries)
-
-    # Build all three indexes once; sweep K on the query side only.
-    cl = build_index(spark, df, os.path.join(workdir, "climber"), params)
-    td = build_tardis(spark, df, os.path.join(workdir, "tardis"), w=params.w,
-                      capacity=params.capacity, alpha=params.alpha, seed=params.seed)
-    dp = build_dpisax(spark, df, os.path.join(workdir, "dpisax"), w=params.w,
-                      capacity=params.capacity, alpha=params.alpha, seed=params.seed)
-
-    rows: List[Dict] = []
-    for k in ks:
-        gt, dss_s = timed_dss_knn(df, queries, k)
-        rows.append(dict(k=k, system="Dss", query_s=dss_s / len(gt), recall=1.0))
-        for name, bidx in (("TARDIS", td), ("DPiSAX", dp)):
-            res, stats = bidx.knn_batch(spark, queries, k)
-            rows.append(dict(k=k, system=name, query_s=stats.seconds / len(res),
-                             recall=recall_batch(res, gt)))
-        for variant in ("knn", "adaptive-2x", "adaptive-4x"):
-            res, stats = cl.knn_batch(spark, queries, k, variant=variant)
-            rows.append(dict(k=k, system=f"CLIMBER-{variant}",
-                             query_s=stats.seconds / len(res), recall=recall_batch(res, gt),
-                             partitions=_avg(stats.partitions_touched)))
-    df.unpersist()
-    shutil.rmtree(workdir, ignore_errors=True)
-    return rows
+    """Every system built once on RandomWalk; each queried at every K."""
+    with _instance(spark, "randomwalk", gb, n_queries) as (df, queries), \
+            _built_systems(spark, df, workdir) as systems:
+        return [dict(k=k, **r) for k in ks
+                for r in _query_systems(spark, df, systems, queries, k, CLIMBER_VARIANTS)]
 
 
 # ---------------------------------------------------------------------------
-# Fig. 10: number-of-pivots sweep (build phases + accuracy)
+# Fig. 10 (number of pivots) and Fig. 12 (prefix length): parameter sweeps
 # ---------------------------------------------------------------------------
 
 
-def run_pivot_sweep(
+def run_param_sweep(
     spark: SparkSession,
     workdir: str,
+    param: str,
+    values: Sequence[int],
+    points: Sequence[Tuple[str, int]],
     *,
-    pivots: Sequence[int] = (16, 32, 64, 128, 256),
-    datasets: Iterable[str] = ("randomwalk", "sift", "dna", "eeg"),
-    gb: int = 200,
     k: int = DEFAULT_K,
     n_queries: int = DEFAULT_QUERIES,
-    base_params: ClimberParams = DEFAULT_PARAMS,
 ) -> List[Dict]:
-    n = GB_TO_N[gb]
+    """CLIMBER rebuilt at each value of one parameter (a key of
+    :data:`SWEEPS`) at each ``(dataset, gb)`` point.
+
+    Rows carry the build phases of Fig. 10(a), the default variant's
+    measurements, ``recall_knn``, and ``rel_*`` columns normalised to the
+    point's row at the default parameter value (Fig. 12).
+    """
+    field = SWEEPS[param]
     rows: List[Dict] = []
-    dfs = {ds: dataset_df(spark, ds, n) for ds in datasets}
-    queries = {ds: pick_queries(dfs[ds], n_queries) for ds in datasets}
-    gts = {ds: timed_dss_knn(dfs[ds], queries[ds], k)[0] for ds in datasets}
-    for r in pivots:
-        params = ClimberParams(**{**base_params.__dict__, "r": r})
-        for ds in datasets:
-            d = os.path.join(workdir, f"r{r}-{ds}")
-            idx = build_index(spark, dfs[ds], d, params)
-            res, stats = idx.knn_batch(spark, queries[ds], k, variant="adaptive-4x")
-            # CLIMBER-kNN isolates representation quality: it always scans a
-            # single target node, so its recall tracks how well the pivot
-            # count preserves similarity (the paper's Fig. 10(b) effect)
-            # without the adaptive group-wide expansion masking it.
-            res_knn, _ = idx.knn_batch(spark, queries[ds], k, variant="knn")
-            rows.append(
-                dict(pivots=r, dataset=ds, gb=gb, k=k,
-                     build_s=idx.report.total_s, sample_s=idx.report.sample_s,
-                     skeleton_s=idx.report.skeleton_s,
-                     redistribute_s=idx.report.redistribute_s + idx.report.stats_s,
-                     index_bytes=idx.global_index_size_bytes(),
-                     query_s=stats.seconds / len(res), recall=recall_batch(res, gts[ds]),
-                     recall_knn=recall_batch(res_knn, gts[ds]),
-                     rows_scanned=_avg(stats.rows_scanned))
-            )
-            shutil.rmtree(d, ignore_errors=True)
-    for df in dfs.values():
-        df.unpersist()
+    for ds, gb in points:
+        with _instance(spark, ds, gb, n_queries) as (df, queries):
+            gt, _ = timed_dss_knn(df, queries, k)
+            point: List[Dict] = []
+            for v in values:
+                params = replace(DEFAULT_PARAMS, **{field: v})
+                with built(spark, "CLIMBER", df, workdir, params) as (idx, build_s):
+                    rep = idx.report
+                    # CLIMBER-kNN isolates representation quality: it always
+                    # scans a single target node, so its recall tracks how
+                    # well the parameter preserves similarity (the paper's
+                    # Fig. 10(b) effect) without the adaptive group-wide
+                    # expansion masking it.
+                    point.append(dict(
+                        {param: v}, dataset=ds, gb=gb, k=k, build_s=build_s,
+                        sample_s=rep.sample_s, skeleton_s=rep.skeleton_s,
+                        redistribute_s=rep.redistribute_s + rep.stats_s,
+                        index_bytes=idx.global_index_size_bytes(),
+                        **query_row(spark, idx, queries, k, gt, DEFAULT_VARIANT),
+                        recall_knn=query_row(spark, idx, queries, k, gt, "knn")["recall"],
+                    ))
+            default = getattr(DEFAULT_PARAMS, field)
+            base = next((r for r in point if r[param] == default), point[0])
+            for r in point:
+                for col in ("build_s", "index_bytes", "query_s", "recall"):
+                    r[f"rel_{col}"] = r[col] / max(1e-12, base[col])
+            rows += point
     return rows
 
 
@@ -308,47 +292,33 @@ def run_pivot_sweep(
 # ---------------------------------------------------------------------------
 
 
-def run_adaptive_eval(
-    spark: SparkSession,
-    workdir: str,
-    *,
-    gb: int = 400,
-    ratios: Sequence[int] = (1, 2, 4, 6, 10),
-    n_queries: int = 6,
-    params: ClimberParams = DEFAULT_PARAMS,
-) -> List[Dict]:
+def run_adaptive_eval(spark: SparkSession, workdir: str, *, n_queries: int = 6) -> List[Dict]:
     """Per query: find the target trie node's capacity m, then sweep K = ratio·m.
 
     Mirrors the paper's stress test: x-axis K/m, y-axis the recall
     improvement of the adaptive variants over CLIMBER-kNN (bubble = the
     absolute CLIMBER-kNN recall).
     """
-    n = GB_TO_N[gb]
-    df = dataset_df(spark, "randomwalk", n)
-    queries = pick_queries(df, n_queries)
-    idx = build_index(spark, df, os.path.join(workdir, "climber"), params)
-
-    node_caps = [
-        max(1, int(idx.plan(q, 1, variant="knn", qid=i).node_count))
-        for i, q in enumerate(queries)
-    ]
-    rows: List[Dict] = []
-    for ratio in ratios:
-        accum = {v: [] for v in ("knn", "adaptive-2x", "adaptive-4x")}
-        for qi, q in enumerate(queries):
-            k = max(1, ratio * node_caps[qi])
-            gt, _ = timed_dss_knn(df, q[None, :], k)
-            for variant in accum:
-                res, _ = idx.knn_batch(spark, q[None, :], k, variant=variant)
-                accum[variant].append(recall_one(res[0], gt[0]))
-        base = float(np.mean(accum["knn"]))
-        for variant, vals in accum.items():
-            rows.append(dict(ratio=ratio, system=f"CLIMBER-{variant}",
-                             recall=float(np.mean(vals)),
-                             improvement_pct=100.0 * (float(np.mean(vals)) - base)))
-    df.unpersist()
-    shutil.rmtree(workdir, ignore_errors=True)
-    return rows
+    with _instance(spark, "randomwalk", SWEEP_GB, n_queries) as (df, queries), \
+            built(spark, "CLIMBER", df, workdir, DEFAULT_PARAMS) as (idx, _):
+        node_caps = [
+            max(1, int(idx.plan(q, 1, variant="knn", qid=i).node_count))
+            for i, q in enumerate(queries)
+        ]
+        rows: List[Dict] = []
+        for ratio in ADAPTIVE_RATIOS:
+            recalls = {v: [] for v in CLIMBER_VARIANTS}
+            for cap, q in zip(node_caps, queries):
+                k = max(1, ratio * cap)
+                gt, _ = timed_dss_knn(df, q[None, :], k)
+                for variant, vals in recalls.items():
+                    vals.append(query_row(spark, idx, q[None, :], k, gt, variant)["recall"])
+            base = float(np.mean(recalls["knn"]))
+            for variant, vals in recalls.items():
+                rows.append(dict(ratio=ratio, system=f"CLIMBER-{variant}",
+                                 recall=float(np.mean(vals)),
+                                 improvement_pct=100.0 * (float(np.mean(vals)) - base)))
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -360,78 +330,21 @@ def run_od_smallest_eval(
     spark: SparkSession,
     workdir: str,
     *,
-    gb: int = 400,
     k: int = DEFAULT_K,
     n_queries: int = DEFAULT_QUERIES,
-    params: ClimberParams = DEFAULT_PARAMS,
 ) -> List[Dict]:
-    n = GB_TO_N[gb]
-    df = dataset_df(spark, "randomwalk", n)
-    queries = pick_queries(df, n_queries)
-    gt, _ = timed_dss_knn(df, queries, k)
-    idx = build_index(spark, df, os.path.join(workdir, "climber"), params)
-
-    res_od, st_od = idx.knn_batch(spark, queries, k, variant="od-smallest")
-    od_recall = recall_batch(res_od, gt)
-    od_rows = _avg(st_od.rows_scanned)
-
-    rows: List[Dict] = []
-    for variant in CLIMBER_VARIANTS:
-        res, st = idx.knn_batch(spark, queries, k, variant=variant)
-        rec = recall_batch(res, gt)
-        rows.append(
-            dict(system=f"CLIMBER-{variant}", recall=rec,
-                 rows_scanned=_avg(st.rows_scanned),
-                 od_data_ratio=od_rows / max(1.0, _avg(st.rows_scanned)),
-                 od_recall_ratio=od_recall / max(1e-9, rec))
-        )
-    rows.append(dict(system="OD-Smallest", recall=od_recall, rows_scanned=od_rows,
-                     od_data_ratio=1.0, od_recall_ratio=1.0))
-    df.unpersist()
-    shutil.rmtree(workdir, ignore_errors=True)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Fig. 12: prefix-length sweep
-# ---------------------------------------------------------------------------
-
-
-def run_prefix_sweep(
-    spark: SparkSession,
-    workdir: str,
-    *,
-    gb: int = 400,
-    prefix_lengths: Sequence[int] = (3, 4, 6, 8, 10, 12),
-    k: int = DEFAULT_K,
-    n_queries: int = DEFAULT_QUERIES,
-    base_params: ClimberParams = DEFAULT_PARAMS,
-) -> List[Dict]:
-    n = GB_TO_N[gb]
-    df = dataset_df(spark, "randomwalk", n)
-    queries = pick_queries(df, n_queries)
-    gt, _ = timed_dss_knn(df, queries, k)
-    rows: List[Dict] = []
-    for m in prefix_lengths:
-        params = ClimberParams(**{**base_params.__dict__, "m": m})
-        d = os.path.join(workdir, f"m{m}")
-        idx = build_index(spark, df, d, params)
-        res, stats = idx.knn_batch(spark, queries, k, variant="adaptive-4x")
-        rows.append(
-            dict(prefix=m, gb=gb, k=k, build_s=idx.report.total_s,
-                 index_bytes=idx.global_index_size_bytes(),
-                 query_s=stats.seconds / len(res), recall=recall_batch(res, gt),
-                 partitions=_avg(stats.partitions_touched))
-        )
-        shutil.rmtree(d, ignore_errors=True)
-    # Relative-to-default columns (the paper normalizes to m=10 ≙ our m=6).
-    default_m = base_params.m
-    base_row = next((r for r in rows if r["prefix"] == default_m), rows[0])
-    for r in rows:
-        for col in ("build_s", "index_bytes", "query_s", "recall"):
-            r[f"rel_{col}"] = r[col] / max(1e-12, base_row[col])
-    df.unpersist()
-    return rows
+    with _instance(spark, "randomwalk", SWEEP_GB, n_queries) as (df, queries), \
+            built(spark, "CLIMBER", df, workdir, DEFAULT_PARAMS) as (idx, _):
+        gt, _ = timed_dss_knn(df, queries, k)
+        od = query_row(spark, idx, queries, k, gt, "od-smallest")
+        rows: List[Dict] = []
+        for variant in CLIMBER_VARIANTS:
+            r = query_row(spark, idx, queries, k, gt, variant)
+            rows.append(dict(system=f"CLIMBER-{variant}", **r,
+                             od_data_ratio=od["rows_scanned"] / max(1.0, r["rows_scanned"]),
+                             od_recall_ratio=od["recall"] / max(1e-9, r["recall"])))
+        rows.append(dict(system="OD-Smallest", **od, od_data_ratio=1.0, od_recall_ratio=1.0))
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -446,43 +359,32 @@ def run_table1(
     gbs: Sequence[int] = (200, 400, 600, 800, 1000, 1500),
     k: int = DEFAULT_K,
     n_queries: int = DEFAULT_QUERIES,
-    params: ClimberParams = DEFAULT_PARAMS,
-    odyssey_budget: int = ODYSSEY_BUDGET,
-    parlayann_budget: int = PARLAYANN_BUDGET,
 ) -> List[Dict]:
     rows: List[Dict] = []
     for gb in gbs:
-        n = GB_TO_N[gb]
-        df = dataset_df(spark, "randomwalk", n)
-        queries = pick_queries(df, n_queries)
-        gt, _ = timed_dss_knn(df, queries, k)
+        with _instance(spark, "randomwalk", gb, n_queries) as (df, queries):
+            gt, _ = timed_dss_knn(df, queries, k)
 
-        # CLIMBER (default variant adaptive-4x, as in the paper)
-        d = os.path.join(workdir, f"t1-{gb}")
-        t0 = time.perf_counter()
-        idx = build_index(spark, df, d, params)
-        ict = time.perf_counter() - t0
-        res, stats = idx.knn_batch(spark, queries, k, variant="adaptive-4x")
-        rows.append(dict(gb=gb, system="CLIMBER", ict_s=ict,
-                         qrt_s=stats.seconds / len(res), recall=recall_batch(res, gt)))
-        shutil.rmtree(d, ignore_errors=True)
+            # CLIMBER (default variant adaptive-4x, as in the paper)
+            with built(spark, "CLIMBER", df, workdir, DEFAULT_PARAMS) as (idx, build_s):
+                r = query_row(spark, idx, queries, k, gt, DEFAULT_VARIANT)
+            rows.append(dict(gb=gb, system="CLIMBER", ict_s=build_s, qrt_s=r["query_s"],
+                             recall=r["recall"]))
 
-        # In-memory systems: load (collect) + build counts toward I.C.T.
-        for name, engine in (
-            ("Odyssey", OdysseyEngine(memory_budget_bytes=odyssey_budget, w=params.w)),
-            ("ParlayANN", ParlayAnnHnsw(memory_budget_bytes=parlayann_budget)),
-        ):
-            try:
+            # In-memory systems: load (collect) + build counts toward I.C.T.
+            for name, engine in (
+                ("Odyssey", OdysseyEngine(memory_budget_bytes=ODYSSEY_BUDGET, w=DEFAULT_PARAMS.w)),
+                ("ParlayANN", ParlayAnnHnsw(memory_budget_bytes=PARLAYANN_BUDGET)),
+            ):
                 t0 = time.perf_counter()
-                ids, X = collect_matrix(df)
-                engine.build(X, ids)
+                try:
+                    ids, X = collect_matrix(df)
+                    engine.build(X, ids)
+                except CapacityExceeded:
+                    rows.append(dict(gb=gb, system=name, ict_s=None, qrt_s=None, recall=None))
+                    continue
                 ict = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                res = engine.knn_batch(queries, k)
-                qrt = (time.perf_counter() - t0) / max(1, len(res))
-                rows.append(dict(gb=gb, system=name, ict_s=ict, qrt_s=qrt,
-                                 recall=recall_batch(res, gt)))
-            except CapacityExceeded:
-                rows.append(dict(gb=gb, system=name, ict_s=None, qrt_s=None, recall=None))
-        df.unpersist()
+                r = query_row(spark, engine, queries, k, gt, None)
+                rows.append(dict(gb=gb, system=name, ict_s=ict, qrt_s=r["query_s"],
+                                 recall=r["recall"]))
     return rows

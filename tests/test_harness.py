@@ -1,7 +1,12 @@
 """Experiment-harness tests: table rendering, scale mapping, mini runs."""
+import ast
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.harness import experiments
 from repro.harness.experiments import (
     GB_TO_N,
     dataset_df,
@@ -9,6 +14,8 @@ from repro.harness.experiments import (
     pick_queries,
 )
 from repro.harness.tables import render_table
+
+JOBS = Path(__file__).resolve().parents[1] / "jobs"
 
 
 class TestScaleMapping:
@@ -63,19 +70,69 @@ class TestDatasetHelpers:
 
 
 class TestMiniEval:
-    def test_eval_distributed_rows(self, spark, small_df, queries, ground_truth, tmp_path):
-        from tests.conftest import K_SMALL, SMALL_PARAMS
+    def test_eval_distributed_rows(self, spark, small_df, queries, tmp_path):
+        from tests.conftest import K_SMALL
 
         _, Q = queries
-        rows = eval_distributed(
-            spark, small_df, Q, K_SMALL, str(tmp_path / "mini"),
-            params=SMALL_PARAMS, climber_variants=("adaptive-4x",),
-            include_baselines=False, ground_truth=(ground_truth, 0.5),
-        )
+        rows = eval_distributed(spark, small_df, Q, K_SMALL, str(tmp_path / "mini"))
         systems = {r["system"] for r in rows}
-        assert systems == {"Dss", "CLIMBER-adaptive-4x"}
+        assert systems == {"Dss", "CLIMBER-adaptive-4x", "TARDIS", "DPiSAX"}
         for r in rows:
             assert 0.0 <= r["recall"] <= 1.0
             assert r["query_s"] >= 0
         dss = next(r for r in rows if r["system"] == "Dss")
         assert dss["recall"] == 1.0
+        for r in rows:
+            if r["system"] != "Dss":
+                assert r["build_s"] > 0 and r["index_bytes"] > 0
+                assert r["partitions"] >= 1 and r["rows_scanned"] >= 1
+        assert os.listdir(tmp_path / "mini") == []  # every index directory is removed
+
+
+def _printed_columns(job: str):
+    """The column list of each ``render_table`` call in ``jobs/<job>``, in
+    source order; each must be a literal so this test can read it."""
+    calls = [c for c in ast.walk(ast.parse((JOBS / job).read_text()))
+             if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "render_table"]
+    return [ast.literal_eval(c.args[1]) for c in sorted(calls, key=lambda c: c.lineno)]
+
+
+# Each job's runner calls at tiny scale, one row list per render_table call.
+RUNS = {
+    "fig7_query_eval.py": lambda spark, wd: [experiments.run_eval(
+        spark, wd, [("randomwalk", 200)], k=5, n_queries=2)] * 2,
+    "fig9_k_sweep.py": lambda spark, wd: [experiments.run_k_sweep(
+        spark, wd, ks=(5,), n_queries=2)],
+    "fig10_pivots_sweep.py": lambda spark, wd: [experiments.run_param_sweep(
+        spark, wd, "pivots", [16, 64], [("randomwalk", 200)], k=5, n_queries=2)],
+    "fig11_adaptive.py": lambda spark, wd: [
+        experiments.run_adaptive_eval(spark, wd, n_queries=1),
+        experiments.run_od_smallest_eval(spark, wd, k=5, n_queries=2)],
+    "fig12_prefix_sweep.py": lambda spark, wd: [experiments.run_param_sweep(
+        spark, wd, "prefix", [4, 6], [("randomwalk", 400)], k=5, n_queries=2)],
+    "table1_memory_systems.py": lambda spark, wd: [experiments.run_table1(
+        spark, wd, gbs=(200,), k=5, n_queries=2)],
+}
+
+
+class TestJobColumns:
+    def test_every_job_is_covered(self):
+        assert set(RUNS) == {p.name for p in JOBS.glob("*.py")} - {"_common.py"}
+
+    @pytest.mark.parametrize("job", sorted(RUNS))
+    def test_printed_columns_are_row_keys(self, spark, job, tmp_path, monkeypatch):
+        """Every column a job prints is a key of every row its runner returns
+        (``render_table`` would print a silent X for a missing one), and the
+        runner leaves the caller's files in ``workdir`` alone."""
+        for gb in (200, 400):
+            monkeypatch.setitem(GB_TO_N, gb, 600)
+        monkeypatch.setattr(experiments, "PARLAYANN_BUDGET", 0)  # its X row, no HNSW build
+        (tmp_path / "sentinel").write_text("not the harness's")
+        tables = RUNS[job](spark, str(tmp_path))
+        columns = _printed_columns(job)
+        assert len(columns) == len(tables)
+        for cols, rows in zip(columns, tables):
+            assert rows
+            for r in rows:
+                assert set(cols) <= set(r), (job, set(cols) - set(r))
+        assert os.listdir(tmp_path) == ["sentinel"]
