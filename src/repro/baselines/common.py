@@ -2,17 +2,26 @@
 
 TARDIS and DPiSAX follow the same macro-structure as CLIMBER-INX (paper
 §VII-A: "they both create a global main-memory index structure and use it
-for re-partitioning the data and creating local indexes"):
+for re-partitioning the data and creating local indexes"), and run on the
+same build substrate:
 
-1. sample → z-norm → PAA → iSAX symbols (driver-side numpy over the
-   collected sample, like CLIMBER's skeleton phase),
-2. a global partitioning structure built from the sample,
-3. full-data redistribution into parquet partitions (``partitionBy(pid)``),
-4. query: route to a single partition, scan it with the same distributed
-   kNN operator CLIMBER uses (full-partition plans).
+1. the id-hash α-sample of CLIMBER's Step 1 (`paa.sample_paa`), whose
+   executor-side transform is :func:`isax_paa` (PAA of the z-normalised
+   series); its iSAX words (`isax.isax_symbols` at MAX_BITS) are collected,
+2. a global partitioning structure (the *router*) built from those words,
+3. full-data redistribution through CLIMBER's build kernel
+   (`paa.map_series`) and writer (`index.write_partitions`): each series'
+   ``pid`` comes from :meth:`BaselineIndex.pids`, its stored row is in
+   ``BaselineIndex.SCHEMA``,
+4. query: :meth:`BaselineIndex.pids` routes each query to a single
+   partition, scanned with the same distributed kNN operator CLIMBER uses
+   (full-partition plans).
 
-Keeping the substrate identical makes the timing/recall comparison about
-the *representations and partitioning*, which is what the paper varies.
+The sample, the stored rows and the queries all take their iSAX words
+through :func:`isax_paa`, so the router is built from the words the data
+gets. Keeping the substrate identical makes the timing/recall comparison
+about the *representations and partitioning*, which is what the paper
+varies.
 """
 from __future__ import annotations
 
@@ -20,32 +29,22 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Tuple
+from functools import partial
+from typing import Callable, Dict
 
 import numpy as np
-import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
-from ..core.paa import paa_np, sample_paa, series_binary, series_matrix, znorm_np
+from ..core.index import write_partitions
+from ..core.paa import map_series, paa_np, sample_paa, znorm_np
 from ..core.query import QueryPlan, _query_matrix, occupancy, stored_columns, timed_knn
-from .isax import MAX_BITS, isax_symbols
+from .isax import isax_symbols
 
 
-def sample_symbols(series_df: DataFrame, w: int, alpha: float, seed: int) -> np.ndarray:
-    """Collect the sample's (B, w) iSAX symbols at MAX_BITS, ordered by id.
-
-    The same id-hash α-sample as CLIMBER's Step 1 (`paa.sample_paa`), so the
-    index does not depend on how the input is partitioned.
-    """
-    P = sample_paa(series_df, w, alpha, seed)
-    if not len(P):
-        raise ValueError("empty sample; raise alpha")
-    return isax_symbols(P, MAX_BITS)
-
-
-def query_symbols(series: np.ndarray, w: int) -> np.ndarray:
-    """Raw query batch → (Q, w) symbols (same transform chain as the data)."""
-    return isax_symbols(paa_np(znorm_np(series), w), MAX_BITS)
+def isax_paa(X: np.ndarray, w: int) -> np.ndarray:
+    """Raw series (rows × n) → the baselines' PAA: ``w`` segment means of each
+    z-normalised series, the values iSAX's N(0,1) breakpoints assume."""
+    return paa_np(znorm_np(X), w)
 
 
 @dataclass
@@ -54,7 +53,6 @@ class BaselineIndex:
 
     SCHEMA = "id long, series binary, pid long"  # as CLIMBER stores them, + their pid directory
 
-    name: str
     out_dir: str
     w: int
     router: object  # picklable structure with .route(symbols_row) -> pid
@@ -69,49 +67,24 @@ class BaselineIndex:
     def global_index_size_bytes(self) -> int:
         return len(pickle.dumps(self.router, protocol=pickle.HIGHEST_PROTOCOL))
 
+    def pids(self, series: np.ndarray) -> np.ndarray:
+        """Raw series (rows × n) → each one's partition: the router's pid for
+        its iSAX word (:func:`isax_paa` at MAX_BITS). Step 4 stores every
+        row, and `plans` routes every query, through here."""
+        return np.array([self.router.route(s) for s in isax_symbols(isax_paa(series, self.w))],
+                        dtype=np.int64)
+
     def plans(self, queries: np.ndarray) -> Dict[int, QueryPlan]:
         """Each query's plan: the one partition its iSAX word routes to;
         ``ValueError`` on a non-finite reading."""
-        syms = query_symbols(_query_matrix(queries), self.w)
-        return {qid: QueryPlan(pids=(int(self.router.route(s)),)) for qid, s in enumerate(syms)}
+        return {qid: QueryPlan(pids=(p,)) for qid, p in enumerate(self.pids(_query_matrix(queries)).tolist())}
 
     def knn_batch(self, spark: SparkSession, queries: np.ndarray, k: int):
         """Route each query to its single partition and scan (one Spark job)."""
         return timed_knn(spark, self, self.plans, queries, k)
 
 
-def redistribute(
-    series_df: DataFrame,
-    router: object,
-    w: int,
-    out_dir: str,
-) -> Tuple[Dict[int, int], int]:
-    """Step 3: assign every series a pid via the (broadcast) router and write
-    the physical parquet partitions, ``series`` in CLIMBER's stored ``binary``
-    encoding (`paa.series_binary`). Returns (pid occupancy, total rows)."""
-    blob = pickle.dumps(router, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def gen(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
-        local = pickle.loads(blob)
-        for batch in batches:
-            if not batch.num_rows:
-                continue
-            X = series_matrix(batch.column("series"))
-            syms = isax_symbols(paa_np(znorm_np(X), w), MAX_BITS)
-            pid = pa.array([int(local.route(s)) for s in syms], type=pa.int64())
-            yield pa.RecordBatch.from_arrays(
-                [batch.column("id"), series_binary(X), pid], names=["id", "series", "pid"])
-
-    assigned = series_df.select("id", "series").mapInArrow(gen, schema="id long, series binary, pid long")
-    data_path = os.path.join(out_dir, "data")
-    assigned.repartition("pid").write.mode("overwrite").partitionBy("pid").parquet(data_path)
-    (pid,) = stored_columns(data_path, "pid")
-    return occupancy(pid), len(pid)
-
-
 def build_baseline(
-    name: str,
-    spark: SparkSession,
     series_df: DataFrame,
     out_dir: str,
     make_router: Callable[[np.ndarray, float], object],
@@ -122,10 +95,13 @@ def build_baseline(
 ) -> BaselineIndex:
     """Common build driver: sample → router → redistribute → stats."""
     t0 = time.perf_counter()
-    syms = sample_symbols(series_df, w, alpha, seed)
-    router = make_router(syms, alpha)
-    pid_counts, n = redistribute(series_df, router, w, out_dir)
-    return BaselineIndex(
-        name=name, out_dir=out_dir, w=w, router=router, pid_counts=pid_counts,
-        build_s=time.perf_counter() - t0, n_series=n,
-    )
+    P = sample_paa(series_df, partial(isax_paa, w=w), alpha, seed)
+    if not len(P):
+        raise ValueError("empty sample; raise alpha")
+    index = BaselineIndex(out_dir=out_dir, w=w, router=make_router(isax_symbols(P), alpha))
+    write_partitions(map_series(series_df, lambda ids, X: {"pid": index.pids(X)}, index.SCHEMA),
+                     index.data_path)
+    (pid,) = stored_columns(index.data_path, "pid")
+    index.pid_counts, index.n_series = occupancy(pid), len(pid)
+    index.build_s = time.perf_counter() - t0
+    return index

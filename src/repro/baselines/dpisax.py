@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
 from .common import BaselineIndex, build_baseline
 from .isax import MAX_BITS
@@ -109,7 +109,6 @@ def build_split_table(sample_symbols: np.ndarray, alpha: float, capacity: int) -
 
 
 def build_dpisax(
-    spark: SparkSession,
     series_df: DataFrame,
     out_dir: str,
     *,
@@ -120,7 +119,7 @@ def build_dpisax(
 ) -> BaselineIndex:
     """Build the DPiSAX index (sample → split table → redistribution)."""
     return build_baseline(
-        "dpisax", spark, series_df, out_dir,
+        series_df, out_dir,
         lambda syms, a: build_split_table(syms, a, capacity),
         w=w, alpha=alpha, seed=seed,
     )

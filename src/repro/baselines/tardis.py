@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
 from .common import BaselineIndex, build_baseline
 from .isax import MAX_BITS, coarsen, word_key, word_l1
@@ -118,7 +118,6 @@ def build_sigtree(sample_symbols: np.ndarray, alpha: float, capacity: int) -> Si
 
 
 def build_tardis(
-    spark: SparkSession,
     series_df: DataFrame,
     out_dir: str,
     *,
@@ -129,7 +128,7 @@ def build_tardis(
 ) -> BaselineIndex:
     """Build the TARDIS index (sample → sigTree → redistribution)."""
     return build_baseline(
-        "tardis", spark, series_df, out_dir,
+        series_df, out_dir,
         lambda syms, a: build_sigtree(syms, a, capacity),
         w=w, alpha=alpha, seed=seed,
     )

@@ -11,16 +11,17 @@ Step 2  Algorithm 2 on the rank-insensitive frequency list → centroids.
 Step 3  Algorithm 1 assignment of the sample, per-group tries, FFD packing
         → the index *skeleton* (driver-side, tiny).
 Step 4  full-dataset redistribution: the skeleton (pivots included) ships to
-        executors inside one ``mapInArrow`` closure (the paper's
-        broadcast), which maps each ``(id, series)`` straight to
-        ``(gid, pid, node)`` (``node`` is the landing trie node's
-        ordinal), passing ``id`` through and re-emitting the decoded series
-        as one fixed-width ``binary`` value per row (`paa.series_binary`):
-        the shuffle and the parquet write then copy one value per series,
-        not one list entry per reading. A ``repartition(pid)`` shuffle +
-        ``write.partitionBy("pid")`` produce the physical partitions, sorted
-        by node ordinal so each subtree's records are contiguous (the
-        paper's in-partition layout). Only ``id``, ``series``, ``gid``,
+        executors inside the closure of the build's one kernel
+        (`paa.map_series`, the paper's broadcast), whose batch function
+        `Skeleton.assign_rows` maps each ``(id, series)`` straight to
+        ``(gid, node, pid)`` (``node`` is the landing trie node's ordinal);
+        the kernel passes ``id`` through and re-emits the decoded series as
+        one fixed-width ``binary`` value per row (`paa.series_binary`), in
+        ``ClimberIndex.SCHEMA``. :func:`write_partitions` — the one writer,
+        which the iSAX baselines use too — shuffles by ``pid``, sorts each
+        partition by ``(pid, node)`` so each subtree's records are
+        contiguous (the paper's in-partition layout), and writes one ``pid=``
+        directory per physical partition. Only ``id``, ``series``, ``gid``,
         ``node`` and the ``pid`` directory are stored.
 
 After the write, the driver reads back the ``pid`` and ``node`` columns
@@ -34,13 +35,13 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from functools import partial
+from typing import Dict, List, Tuple
 
 import numpy as np
-import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
-from .paa import sample_paa, series_binary, series_matrix
+from .paa import map_series, paa_np, sample_paa
 from .pivots import select_pivots, signatures_np
 from .query import QueryPlan, occupancy, route_adaptive, route_knn, route_od_smallest, stored_columns, timed_knn
 from .skeleton import Skeleton, build_skeleton
@@ -161,33 +162,18 @@ class ClimberIndex:
         )
 
 
-def assign_partitions(df: DataFrame, sk: Skeleton) -> DataFrame:
-    """Step 4 kernel: ``(id, series)`` → ``(id, series, gid, pid, node)``.
-
-    One pass per Arrow batch: signatures (`Skeleton.signatures`) and then
-    Algorithm 1 + trie navigation (`Skeleton.assign_records`), with the
-    serialized skeleton captured in the task closure. The incoming ``id``
-    array is passed through; ``series`` leaves as the stored ``binary``
-    encoding of the decoded matrix (`paa.series_binary`), whatever layout
-    it came in.
-    """
-    blob = sk.serialize()
-
-    def gen(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
-        local = Skeleton.deserialize(blob)
-        for batch in batches:
-            if not batch.num_rows:
-                continue
-            ids, X = batch.column("id"), series_matrix(batch.column("series"))
-            sig_rs, _ = local.signatures(X)
-            gid, pid, node = local.assign_records(sig_rs, ids.to_numpy())
-            yield pa.RecordBatch.from_arrays(
-                [ids, series_binary(X), pa.array(gid), pa.array(pid), pa.array(node)],
-                names=["id", "series", "gid", "pid", "node"],
-            )
-
-    return df.select("id", "series").mapInArrow(
-        gen, schema="id long, series binary, gid long, pid long, node long")
+def write_partitions(rows: DataFrame, data_path: str, *order: str) -> None:
+    """Step 4's shuffle and write, for every index: ``repartition(pid)``, sort
+    each partition by ``pid`` and then ``order``, and write one ``pid=``
+    directory of parquet per physical partition. ``rows`` are in the index's
+    stored schema; ``pid`` becomes the directory."""
+    (
+        rows.repartition("pid")
+        .sortWithinPartitions("pid", *order)
+        .write.mode("overwrite")
+        .partitionBy("pid")
+        .parquet(data_path)
+    )
 
 
 def build_index(
@@ -201,7 +187,7 @@ def build_index(
 
     # -- Step 1: sample, PAA, pivots, sample signature frequencies -----------
     t0 = time.perf_counter()
-    P = sample_paa(series_df, params.w, params.alpha, params.seed)
+    P = sample_paa(series_df, partial(paa_np, w=params.w), params.alpha, params.seed)
     if len(P) < params.r:
         raise ValueError(
             f"sample of {len(P)} rows < r={params.r} pivots; "
@@ -225,15 +211,9 @@ def build_index(
 
     # -- Step 4: full-data conversion + redistribution -----------------------
     t0 = time.perf_counter()
-    assigned = assign_partitions(series_df, sk)
     data_path = os.path.join(out_dir, "data")
-    (
-        assigned.repartition("pid")
-        .sortWithinPartitions("pid", "node")
-        .write.mode("overwrite")
-        .partitionBy("pid")
-        .parquet(data_path)
-    )
+    assigned = map_series(series_df, sk.assign_rows, ClimberIndex.SCHEMA)
+    write_partitions(assigned, data_path, "node")
     report.redistribute_s = time.perf_counter() - t0
 
     # -- exact stats: refine trie counts, record partition occupancy ---------

@@ -3,35 +3,32 @@
 PAA divides a length-``n`` data series into ``w`` equal-size segments and
 represents each segment by its mean value (paper Fig. 3). It is the
 dimensionality-reduction front end shared by CLIMBER's P⁴ signatures and by
-the iSAX-based baselines (TARDIS, DPiSAX).
-
-Two forms are provided:
-
-* :func:`paa_np` — the vectorized numpy kernel (batch of series → batch of
-  PAA vectors). This is the reference implementation used by tests and by
-  driver-side query transformation.
-* :func:`with_paa` — the Spark operator: maps a DataFrame of
-  ``(id, series)`` rows to ``(id, paa)`` via ``mapInArrow`` so the kernel
-  runs on executors straight over the Arrow batches.
+the iSAX-based baselines (TARDIS, DPiSAX). :func:`paa_np` is the vectorized
+numpy kernel (batch of series → batch of PAA vectors), used on executors
+and on the driver alike.
 
 :func:`series_matrix` is the one decoder of a ``series`` column: it views
 an Arrow array as a (rows × n) matrix without a per-row copy, in either
 layout — the input's ``list<double>``, or the stored ``binary`` whose values
 each hold a series' n little-endian float64 readings, as
-:func:`series_binary` builds it. Every executor kernel (PAA, the Step-4
-assignment, the baselines' redistribution, the kNN scan) reads its series
-through it, so each rejects a non-finite reading. :func:`sample_paa` is
-Step 1's α-sample, shared by CLIMBER and the iSAX baselines.
+:func:`series_binary` (the one encoder) builds it. Every executor kernel
+reads its series through it, so each rejects a non-finite reading.
+
+:func:`map_series` is the build's one executor kernel: per Arrow batch it
+decodes ``series`` once, applies the caller's batch function, and encodes
+every matrix-valued column it returns. Step 1's α-sample
+(:func:`sample_paa`: CLIMBER's PAA, the baselines' z-normalised PAA) and
+Step 4's assignment (CLIMBER's ``(gid, node, pid)``, the baselines' ``pid``)
+both run through it; the kNN scan (`query.scan_batch`) is the only other.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import ArrayType, DoubleType, StructField, StructType
 
 
 def segment_bounds(n: int, w: int) -> np.ndarray:
@@ -149,41 +146,47 @@ def series_binary(M: np.ndarray) -> pa.BinaryArray:
     )
 
 
-def _list_column(M: np.ndarray) -> pa.ListArray:
-    """(rows × k) matrix → Arrow ``list<double>`` array, one row per list."""
-    rows, k = M.shape
-    offsets = pa.array(np.arange(0, rows * k + 1, k, dtype=np.int32))
-    return pa.ListArray.from_arrays(offsets, pa.array(M.ravel(), type=pa.float64()))
+def _arrow(col) -> pa.Array:
+    """A batch function's column → Arrow: a matrix as `series_binary`, any
+    other array as it is."""
+    if isinstance(col, pa.Array):
+        return col
+    col = np.asarray(col)
+    return series_binary(col) if col.ndim == 2 else pa.array(col)
 
 
-def with_paa(df: DataFrame, w: int, *, series_col: str = "series", out_col: str = "paa") -> DataFrame:
-    """Spark operator: ``(id, series)`` → ``(id, out_col)``, PAA on executors.
+def map_series(df: DataFrame, fn: Callable, schema: str) -> DataFrame:
+    """The build's one executor kernel: ``(id, series)`` rows → ``schema``.
 
-    Only the key and the PAA come back; the series stays behind.
+    For each Arrow batch it decodes ``series`` once (`series_matrix`) and
+    calls ``fn(ids, X)`` for a ``name → array`` dict. The output has the
+    columns ``schema`` names, in its order, taken from that dict or from
+    ``id`` (passed through) and ``series`` (the decoded matrix); every
+    matrix-valued column leaves as `series_binary`. Step 1's sample and
+    Step 4's assignment, of CLIMBER and of the iSAX baselines, run through it.
     """
-    out_schema = StructType([df.schema["id"], StructField(out_col, ArrayType(DoubleType()), False)])
+    names = [f.split()[0] for f in schema.split(",")]
 
     def gen(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         for batch in batches:
             if batch.num_rows:
-                P = paa_np(series_matrix(batch.column(series_col)), w)
-                yield pa.RecordBatch.from_arrays(
-                    [batch.column("id"), _list_column(P)], names=["id", out_col]
-                )
+                ids, X = batch.column("id"), series_matrix(batch.column("series"))
+                cols = {"id": ids, "series": X, **fn(ids.to_numpy(), X)}
+                yield pa.RecordBatch.from_arrays([_arrow(cols[c]) for c in names], names=names)
 
-    return df.select("id", series_col).mapInArrow(gen, schema=out_schema)
+    return df.select("id", "series").mapInArrow(gen, schema=schema)
 
 
-def sample_paa(df: DataFrame, w: int, alpha: float, seed: int) -> np.ndarray:
-    """Step 1's α-sample: the (rows × w) PAA matrix of the sampled series.
+def sample_paa(df: DataFrame, paa: Callable[[np.ndarray], np.ndarray], alpha: float, seed: int) -> np.ndarray:
+    """Step 1's α-sample: the (rows × w) matrix ``paa(X)`` of the sampled
+    series — CLIMBER's PAA, or the baselines' z-normalised PAA.
 
     A row is kept when ``pmod(xxhash64(id, seed), 2²⁰) < α·2²⁰``, so the
     sample depends on the ids alone, not on how the input is split into
-    partitions; the rows come back ordered by id.
+    partitions; only ``(id, paa)`` leaves the executors, and the rows come
+    back ordered by id. An empty sample gives a (0 × 0) matrix.
     """
     scale = 1 << 20
     keep = F.pmod(F.xxhash64("id", F.lit(seed)), F.lit(scale)) < F.lit(alpha * scale)
-    pdf = with_paa(df.where(keep), w).toPandas()
-    if not len(pdf):
-        return np.empty((0, w))
-    return np.stack(pdf.sort_values("id")["paa"].to_numpy())
+    pdf = map_series(df.where(keep), lambda ids, X: {"paa": paa(X)}, "id long, paa binary").toPandas()
+    return series_matrix(pa.array(pdf.sort_values("id")["paa"], pa.binary()))

@@ -112,9 +112,9 @@ def built(
         if system == "CLIMBER":
             index = build_index(spark, df, path, params)
         elif system == "TARDIS":
-            index = build_tardis(spark, df, path, **baseline)
+            index = build_tardis(df, path, **baseline)
         elif system == "DPiSAX":
-            index = build_dpisax(spark, df, path, **baseline)
+            index = build_dpisax(df, path, **baseline)
         else:
             raise ValueError(f"unknown system {system!r}; options: {SYSTEMS}")
         yield index, time.perf_counter() - t0
@@ -373,7 +373,7 @@ def run_table1(
 
             # In-memory systems: load (collect) + build counts toward I.C.T.
             for name, engine in (
-                ("Odyssey", OdysseyEngine(memory_budget_bytes=ODYSSEY_BUDGET, w=DEFAULT_PARAMS.w)),
+                ("Odyssey", OdysseyEngine(memory_budget_bytes=ODYSSEY_BUDGET)),
                 ("ParlayANN", ParlayAnnHnsw(memory_budget_bytes=PARLAYANN_BUDGET)),
             ):
                 t0 = time.perf_counter()

@@ -36,9 +36,7 @@ class CapacityExceeded(RuntimeError):
 
 
 class OdysseyEngine:
-    def __init__(self, memory_budget_bytes: int | None = None, w: int = 16):
-        # ``w`` (Odyssey's iSAX segments) is accepted so Table I configures
-        # every engine alike; the simulation builds no iSAX words.
+    def __init__(self, memory_budget_bytes: int | None = None):
         self.budget = memory_budget_bytes
         self.X: np.ndarray | None = None
         self.ids: np.ndarray | None = None

@@ -6,6 +6,8 @@ hundred tests don't rebuild Spark state per test.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -22,11 +24,25 @@ N_SMALL = 1200
 LEN_SMALL = 64
 SMALL_PARAMS = ClimberParams(w=8, r=16, m=4, capacity=120, alpha=0.35, seed=7)
 K_SMALL = 10
+# The same knobs for the iSAX baselines' builders.
+BASELINE_KW = dict(w=SMALL_PARAMS.w, capacity=SMALL_PARAMS.capacity,
+                   alpha=SMALL_PARAMS.alpha, seed=SMALL_PARAMS.seed)
 
 
 def decode_series(values) -> np.ndarray:
     """Stored ``series`` values (the bytes of a pandas column) → (rows × n) matrix."""
     return series_matrix(pa.array(list(values), pa.binary()))
+
+
+@contextmanager
+def job_group(spark, name):
+    """Tag the Spark jobs started inside the block; yields a job counter."""
+    sc = spark.sparkContext
+    sc.setJobGroup(name, name)
+    try:
+        yield lambda: len(sc.statusTracker().getJobIdsForGroup(name))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
 
 
 @pytest.fixture(scope="session")
@@ -67,16 +83,12 @@ def climber_index(spark, small_df, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def tardis_index(spark, small_df, tmp_path_factory):
+def tardis_index(small_df, tmp_path_factory):
     d = tmp_path_factory.mktemp("tardis-idx")
-    return build_tardis(spark, small_df, str(d), w=SMALL_PARAMS.w,
-                        capacity=SMALL_PARAMS.capacity, alpha=SMALL_PARAMS.alpha,
-                        seed=SMALL_PARAMS.seed)
+    return build_tardis(small_df, str(d), **BASELINE_KW)
 
 
 @pytest.fixture(scope="session")
-def dpisax_index(spark, small_df, tmp_path_factory):
+def dpisax_index(small_df, tmp_path_factory):
     d = tmp_path_factory.mktemp("dpisax-idx")
-    return build_dpisax(spark, small_df, str(d), w=SMALL_PARAMS.w,
-                        capacity=SMALL_PARAMS.capacity, alpha=SMALL_PARAMS.alpha,
-                        seed=SMALL_PARAMS.seed)
+    return build_dpisax(small_df, str(d), **BASELINE_KW)

@@ -21,7 +21,7 @@ class TestExactPathsAgree:
         full = QueryPlan(pids=tuple(sorted(climber_index.pid_counts)))
         scan = knn_scan(spark, climber_index, dict.fromkeys(range(len(Q)), full), Q, K_SMALL)
         dss = dss_knn(small_df, Q, K_SMALL)
-        eng = OdysseyEngine(w=8)
+        eng = OdysseyEngine()
         eng.build(small_matrix, np.arange(len(small_matrix)))
         assert scan == dss
         assert eng.knn_batch(Q, K_SMALL) == dss

@@ -7,17 +7,20 @@ import shutil
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.dataset as ds
 import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.assignment import FALLBACK_GID
-from repro.core.index import ClimberIndex, ClimberParams, assign_partitions, build_index
-from repro.core.paa import series_matrix
+from repro.baselines.dpisax import build_dpisax
+from repro.baselines.tardis import build_tardis
+from repro.core.index import ClimberIndex, ClimberParams, build_index
+from repro.core.paa import map_series, series_matrix
 from repro.core.query import QueryPlan, _route_knn, knn_scan, occupancy, stored_columns
 from repro.core.trie import iter_nodes
 from repro.oracle import assert_equivalent
-from tests.conftest import K_SMALL, N_SMALL, SMALL_PARAMS, decode_series
+from tests.conftest import BASELINE_KW, K_SMALL, N_SMALL, SMALL_PARAMS, decode_series, job_group
 
 
 class TestBuildOutputs:
@@ -212,17 +215,27 @@ class TestEmptyPartition:
 
 
 class TestAssignKernel:
-    def test_matches_assign_records(self, spark, small_df, small_matrix, climber_index):
-        """The fused kernel's (gid, pid, node) ≡ assign_records(signatures(X)), row for row."""
-        sk = climber_index.skeleton
-        pdf = assign_partitions(small_df, sk).orderBy("id").toPandas()
-        sig_rs, _ = sk.signatures(small_matrix)
-        gid, pid, nodes = sk.assign_records(sig_rs, np.arange(N_SMALL))
-        np.testing.assert_array_equal(pdf["id"].to_numpy(), np.arange(N_SMALL))
-        np.testing.assert_array_equal(pdf["gid"].to_numpy(), gid)
-        np.testing.assert_array_equal(pdf["pid"].to_numpy(), pid)
-        np.testing.assert_array_equal(pdf["node"].to_numpy(), nodes)
-        np.testing.assert_array_equal(decode_series(pdf["series"]), small_matrix)
+    @pytest.mark.parametrize("name", ["climber", "tardis", "dpisax"])
+    def test_matches_assign_records(self, request, small_matrix, name):
+        """Each stored row sits where the system's driver-side router sends
+        its series, row for row: CLIMBER's (gid, pid, node) ≡
+        assign_records(signatures(X)); a baseline's ``pid=`` directory ≡ the
+        one pid of its plan."""
+        idx = request.getfixturevalue(f"{name}_index")
+        t = ds.dataset(idx.data_path, format="parquet", partitioning="hive").to_table().sort_by("id")
+        ids, X = t.column("id").to_numpy(), series_matrix(t.column("series").combine_chunks())
+        np.testing.assert_array_equal(ids, np.arange(N_SMALL))
+        np.testing.assert_array_equal(X, small_matrix)
+        if name == "climber":
+            sk = idx.skeleton
+            gid, pid, nodes = sk.assign_records(sk.signatures(X)[0], ids)
+            np.testing.assert_array_equal(t.column("gid").to_numpy(), gid)
+            np.testing.assert_array_equal(t.column("node").to_numpy(), nodes)
+        else:
+            plans = idx.plans(X)
+            assert all(len(pl.pids) == 1 for pl in plans.values())
+            pid = [plans[q].pids[0] for q in range(len(X))]
+        np.testing.assert_array_equal(t.column("pid").to_numpy(), pid)
 
     def test_empty_input_partitions(self, spark, small_df, tmp_path):
         """Most of the 16 input partitions are empty; no row is lost."""
@@ -233,6 +246,22 @@ class TestAssignKernel:
         ids = spark.read.parquet(idx.data_path).select("id").toPandas()["id"]
         assert sorted(ids) == list(range(n))
         assert idx.n_series == n
+
+
+class TestJobsPerBuild:
+    BUILDS = {
+        "climber": lambda spark, df, out: build_index(spark, df, out, SMALL_PARAMS),
+        "tardis": lambda spark, df, out: build_tardis(df, out, **BASELINE_KW),
+        "dpisax": lambda spark, df, out: build_dpisax(df, out, **BASELINE_KW),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_three_jobs(self, spark, small_df, tmp_path, name):
+        """One pass over the data per build step: the sample's collect, the
+        shuffle and the write; the stats are read back without a job."""
+        with job_group(spark, f"build-{name}") as jobs:
+            self.BUILDS[name](spark, small_df, str(tmp_path / name))
+            assert jobs() == 3
 
 
 class TestSplitInvariance:
@@ -316,4 +345,4 @@ class TestParamValidation:
         with pytest.raises(Exception, match="ragged series"):
             build_index(spark, df, str(tmp_path / "idx"), SMALL_PARAMS)
         with pytest.raises(Exception, match="ragged series"):
-            assign_partitions(df, climber_index.skeleton).count()
+            map_series(df, climber_index.skeleton.assign_rows, ClimberIndex.SCHEMA).count()

@@ -16,7 +16,7 @@ def data():
 
 class TestOdyssey:
     def test_exact_equals_bruteforce(self, data):
-        eng = OdysseyEngine(w=8)
+        eng = OdysseyEngine()
         eng.build(data)
         Q = data[:3]
         res = eng.knn_batch(Q, 7)
@@ -28,32 +28,32 @@ class TestOdyssey:
     def test_recall_is_one(self, data):
         from repro.harness.recall import recall_batch
 
-        eng = OdysseyEngine(w=8)
+        eng = OdysseyEngine()
         eng.build(data)
         res = eng.knn_batch(data[:4], 5)
         exact = eng.knn_batch(data[:4], 5)
         assert recall_batch(res, exact) == 1.0
 
     def test_chunked_equals_unchunked(self, data):
-        eng = OdysseyEngine(w=8)
+        eng = OdysseyEngine()
         eng.build(data)
         a = eng.knn_batch(data[:2], 9, chunk=37)
         b = eng.knn_batch(data[:2], 9, chunk=10_000)
         assert a == b
 
     def test_capacity_gate(self, data):
-        eng = OdysseyEngine(memory_budget_bytes=100, w=8)
+        eng = OdysseyEngine(memory_budget_bytes=100)
         with pytest.raises(CapacityExceeded):
             eng.build(data)
 
     def test_budget_allows_when_fits(self, data):
-        eng = OdysseyEngine(memory_budget_bytes=data.nbytes + 1, w=8)
+        eng = OdysseyEngine(memory_budget_bytes=data.nbytes + 1)
         eng.build(data)
         assert eng.build_s > 0
 
     def test_custom_ids(self, data):
         ids = np.arange(1000, 1000 + data.shape[0])
-        eng = OdysseyEngine(w=8)
+        eng = OdysseyEngine()
         eng.build(data, ids)
         res = eng.knn_batch(data[:1], 1)
         assert res[0][0][0] == 1000
@@ -68,7 +68,7 @@ class TestParlayAnn:
     def test_high_recall(self, data):
         eng = ParlayAnnHnsw(M=8, ef_construction=64, ef_search=96, seed=0)
         eng.build(data)
-        exact = OdysseyEngine(w=8)
+        exact = OdysseyEngine()
         exact.build(data)
         from repro.harness.recall import recall_batch
 
@@ -77,7 +77,7 @@ class TestParlayAnn:
 
     def test_build_slower_than_odyssey(self, data):
         """Table I shape: graph construction dominates I.C.T."""
-        ody = OdysseyEngine(w=8)
+        ody = OdysseyEngine()
         ody.build(data)
         pa = ParlayAnnHnsw(M=8, ef_construction=64)
         pa.build(data)

@@ -1,4 +1,6 @@
 """PAA segmentation tests (paper §IV-B Step 1, Fig. 3)."""
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -6,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.paa import paa_np, segment_bounds, series_binary, series_matrix, with_paa, znorm_np
+from repro.core.paa import (
+    map_series, paa_np, sample_paa, segment_bounds, series_binary, series_matrix, znorm_np,
+)
 from repro.oracle import assert_equivalent
 
 
@@ -208,25 +212,25 @@ class TestSeriesBinary:
             series_binary(M)
 
 
+def paa_rows(df, w):
+    """``(id, paa)`` through the build's shared kernel, as Step 1's sample runs it."""
+    return map_series(df, lambda ids, X: {"paa": paa_np(X, w)}, "id long, paa binary")
+
+
 class TestWithPaaSpark:
     def test_matches_numpy(self, spark, small_df, small_matrix):
-        pdf = with_paa(small_df, 8).orderBy("id").toPandas()
-        got = np.stack(pdf["paa"].to_numpy())
+        got = sample_paa(small_df, partial(paa_np, w=8), 1.0, 0)  # α = 1: every row, by id
         np.testing.assert_allclose(got, paa_np(small_matrix, 8), atol=1e-9)
 
-    def test_schema_appended(self, small_df):
-        """Only the key and the PAA come back; the series stays behind."""
-        df = with_paa(small_df, 4, out_col="mypaa")
-        assert df.columns == ["id", "mypaa"]
-
     def test_empty_input(self, small_df):
-        assert with_paa(small_df.limit(0), 4).count() == 0
+        assert paa_rows(small_df.limit(0), 4).count() == 0
 
     def test_oracle_segment_means(self, spark, small_df):
         """DuckDB oracle: PAA segment means == SQL AVG over exploded points."""
         src = small_df.orderBy("id").limit(50)
-        pdf = src.join(with_paa(src, 4), "id").toPandas()
+        pdf = src.join(paa_rows(src, 4), "id").toPandas()
         assert len(pdf) == 50
+        pdf["paa"] = list(series_matrix(pa.array(pdf["paa"], pa.binary())))
         long_rows = []
         for _, row in pdf.iterrows():
             for j, v in enumerate(row["series"]):

@@ -122,7 +122,8 @@ class TestSignaturesNp:
 class TestAssignKernelSpark:
     def test_matches_numpy(self, small_df, small_matrix):
         """The fused Step-4 kernel's Spark signatures ≡ the numpy chain's."""
-        from repro.core.index import assign_partitions
+        from repro.core.index import ClimberIndex
+        from repro.core.paa import map_series
         from repro.core.skeleton import build_skeleton
 
         paa = paa_np(small_matrix, 8)
@@ -130,7 +131,7 @@ class TestAssignKernelSpark:
         rs, _ = signatures_np(paa, P, 4)
         sigs, freqs = np.unique(rs, axis=0, return_counts=True)
         sk = build_skeleton(list(zip(sigs, freqs)), P, w=8, m=4, capacity=100, alpha=1.0)
-        pdf = assign_partitions(small_df, sk).orderBy("id").toPandas()
+        pdf = map_series(small_df, sk.assign_rows, ClimberIndex.SCHEMA).orderBy("id").toPandas()
         gid, pid, nodes = sk.assign_records(rs, np.arange(len(rs)))
         np.testing.assert_array_equal(pdf["id"].to_numpy(), np.arange(len(rs)))
         np.testing.assert_array_equal(pdf["gid"].to_numpy(), gid)

@@ -2,7 +2,6 @@
 under the index's stored schema: one Spark job per call, no partition
 discovery, no schema inference, and the same answers as a discovery read."""
 import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,20 +10,9 @@ from pyspark.sql import functions as F
 
 from repro.core.index import ClimberIndex
 from repro.core.query import QueryPlan, _scan, knn_scan
-from tests.conftest import K_SMALL
+from tests.conftest import K_SMALL, job_group
 
 VARIANTS = ("knn", "adaptive-2x", "adaptive-4x", "od-smallest")
-
-
-@contextmanager
-def job_group(spark, name):
-    """Tag the Spark jobs started inside the block; yields a job counter."""
-    sc = spark.sparkContext
-    sc.setJobGroup(name, name)
-    try:
-        yield lambda: len(sc.statusTracker().getJobIdsForGroup(name))
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
 
 
 @pytest.fixture
