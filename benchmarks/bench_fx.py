@@ -3,9 +3,9 @@
 These are the per-record costs that Fig. 10(a) attributes the build-time
 growth to ("pivot-based conversions and comparisons"); measured here as
 pure numpy kernels over a 10k×256 batch. The Arrow series decode,
-Algorithm 1 on a tie-heavy batch and the exact top-K of the query scans
-are here too, so a regression in the executor kernels shows without a
-Spark run.
+Algorithm 1 on a tie-heavy batch, the exact top-K of the query scans and
+the driver's query router are here too, so a regression in these kernels
+shows without a Spark run.
 """
 import numpy as np
 import pyarrow as pa
@@ -15,6 +15,8 @@ from repro.core.assignment import assign_batch
 from repro.core.distances import centroid_mask, decay_weights, ed_np, od_matrix, topk, wd_matrix
 from repro.core.paa import paa_np, series_matrix, znorm_np
 from repro.core.pivots import signatures_np
+from repro.core.query import VARIANTS, route
+from repro.core.skeleton import build_skeleton
 
 B, N, W, R, M = 10_000, 256, 16, 64, 6
 
@@ -106,3 +108,20 @@ def test_assign_batch_tie_heavy(benchmark):
     sigs = np.stack([rng.choice(9, 3, replace=False) for _ in range(B)])
     mask = centroid_mask([(0, 1, 2), (2, 3, 4), (4, 5, 6)], 9)
     benchmark(assign_batch, sigs, mask, decay_weights(3, "exp", 0.5), ids=np.arange(B), seed=7)
+
+
+@pytest.fixture(scope="module")
+def skeleton(batch):
+    """A skeleton built from the batch's signatures as a 25 % sample."""
+    _, _, pivots, sigs, _ = batch
+    rs, freq = np.unique(sigs, axis=0, return_counts=True)
+    return build_skeleton(list(zip(map(tuple, rs.tolist()), freq.tolist())), pivots, w=W, m=M,
+                          capacity=1000, alpha=0.25, max_centroids=64, seed=7)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_route_batch(benchmark, batch, skeleton, variant):
+    """Algorithm 3 and its variants for one 50-query batch (K=50): signatures,
+    `assignment.candidates` once, then each query's rule."""
+    Q = znorm_np(batch[0][:50])
+    benchmark(route, skeleton, Q, 50, variant, range(50))

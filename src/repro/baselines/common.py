@@ -35,9 +35,9 @@ from typing import Callable, Dict
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from ..core.index import write_partitions
+from ..core.index import occupancy, stored_columns, write_partitions
 from ..core.paa import map_series, paa_np, sample_paa, znorm_np
-from ..core.query import QueryPlan, _query_matrix, occupancy, stored_columns, timed_knn
+from ..core.query import QueryPlan, _query_matrix, timed_knn
 from .isax import isax_symbols
 
 

@@ -12,14 +12,15 @@ series object with its dual signatures, assign the object to a group:
    centroids (seeded per-object here so assignment is reproducible and
    independent of Spark partitioning).
 
-``assign_batch`` is the vectorized kernel used at index-build time (Step 3
-on the sample, Step 4 on the full data); it evaluates WD once for all of a
-batch's OD-tied rows. The query router needs the full tied-group list of
-one query rather than a single resolved pick: ``tied_groups_after_wd``.
+Rules 1–3 are :func:`candidates`, the one OD → WD kernel: it evaluates WD
+once for all of a batch's OD-tied rows. Algorithm 3's lines 5–9 are the
+same rules, so the query router (`query.route`) reads its masks too;
+:func:`assign_batch` — Step 3 on the sample, Step 4 on the full data — adds
+rule 4's seeded pick.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -28,37 +29,27 @@ from .distances import od_matrix, wd_matrix
 FALLBACK_GID = 0
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
-    """Per-object outcome of Algorithm 1.
+def candidates(sig_rs: np.ndarray, mask: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rules 1–3 over a batch of rank-sensitive signatures (B × m) and the
+    centroid ``mask`` (C × r): two (B × C) masks, ``(at_od, tied)``.
 
-    ``gid`` — chosen group id per object (0 = fall-back ``G₀``; real groups
-    are 1-based, matching the order of ``mask`` rows + 1).
-    ``od`` — (B, C) OD matrix (diagnostics / router reuse).
+    ``at_od`` marks each row's groups at its smallest OD; ``tied`` the ones
+    of those still tied after WD. Column ``c`` is group id ``c + 1``; both
+    rows are all-False for a row that overlaps no centroid (``G₀``).
     """
-
-    gid: np.ndarray
-    od: np.ndarray
-
-
-def tied_groups_after_wd(
-    sig_rs_row: np.ndarray, od_row: np.ndarray, mask: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Candidate group ids (1-based) for one object after OD + WD tie-breaks.
-
-    Returns an empty array when the object overlaps no centroid (fall-back
-    case). Used by both assignment and the CLIMBER-kNN router (Algorithm 3
-    lines 5–9 are exactly this computation).
-    """
-    m = sig_rs_row.shape[0]
-    best = od_row.min()
-    if best >= m:
-        return np.empty(0, dtype=np.int64)
-    cands = np.flatnonzero(od_row == best)
-    if cands.size > 1:
-        wd = wd_matrix(sig_rs_row[None, :], mask[cands], weights)[0]
-        cands = cands[np.flatnonzero(wd == wd.min())]
-    return cands + 1  # group ids are 1-based; 0 is reserved for G₀
+    S = np.asarray(sig_rs, dtype=np.int64)
+    od = od_matrix(S, mask)
+    best = od.min(axis=1)
+    at_od = (od == best[:, None]) & (best < S.shape[1])[:, None]
+    tied = at_od.copy()
+    # OD ties: one WD evaluation for all of them, non-minimal-OD centroids
+    # masked out.
+    rows = np.flatnonzero(at_od.sum(axis=1) > 1)
+    if rows.size:
+        wd = wd_matrix(S[rows], mask, weights)
+        wd[~at_od[rows]] = np.inf
+        tied[rows] = wd == wd.min(axis=1)[:, None]
+    return at_od, tied
 
 
 def assign_batch(
@@ -68,36 +59,18 @@ def assign_batch(
     *,
     ids: np.ndarray | None = None,
     seed: int = 0,
-) -> AssignmentResult:
-    """Vectorized Algorithm 1 over a batch of rank-sensitive signatures.
+) -> np.ndarray:
+    """Vectorized Algorithm 1: each row's group id (``FALLBACK_GID`` for
+    ``G₀``; real groups are 1-based, in the order of ``mask`` rows).
 
     ``ids`` (optional, one per row) seed the rule-4 random tie-break so the
     result is deterministic per object id regardless of batching.
     """
-    S = np.asarray(sig_rs, dtype=np.int64)
-    B, m = S.shape
-    od = od_matrix(S, mask)
-    gid = np.full(B, FALLBACK_GID, dtype=np.int64)
-
-    best = od.min(axis=1)
-    at_best = od == best[:, None]
-    n_best = at_best.sum(axis=1)
-    overlap = best < m
-    # Rows whose smallest OD is unique need no WD evaluation.
-    unique_rows = np.flatnonzero(overlap & (n_best == 1))
-    gid[unique_rows] = od[unique_rows].argmin(axis=1) + 1
-    # OD ties: one WD evaluation for all of them, non-minimal-OD centroids
-    # masked out.
-    tie_rows = np.flatnonzero(overlap & (n_best > 1))
-    if tie_rows.size:
-        wd = wd_matrix(S[tie_rows], mask, weights)
-        wd[~at_best[tie_rows]] = np.inf
-        at_wd_best = wd == wd.min(axis=1)[:, None]
-        resolved = at_wd_best.sum(axis=1) == 1
-        gid[tie_rows[resolved]] = wd[resolved].argmin(axis=1) + 1
-        # Still tied after WD: a uniform pick, seeded per object.
-        for i in np.flatnonzero(~resolved):
-            b = tie_rows[i]
-            obj_seed = seed if ids is None else (seed * 1_000_003 + int(ids[b])) & 0x7FFFFFFF
-            gid[b] = int(np.random.default_rng(obj_seed).choice(np.flatnonzero(at_wd_best[i]) + 1))
-    return AssignmentResult(gid=gid, od=od)
+    _, tied = candidates(sig_rs, mask, weights)
+    n_tied = tied.sum(axis=1)
+    gid = np.where(n_tied == 1, tied.argmax(axis=1) + 1, FALLBACK_GID).astype(np.int64)
+    # Still tied after WD: a uniform pick, seeded per object.
+    for b in np.flatnonzero(n_tied > 1):
+        obj_seed = seed if ids is None else (seed * 1_000_003 + int(ids[b])) & 0x7FFFFFFF
+        gid[b] = int(np.random.default_rng(obj_seed).choice(np.flatnonzero(tied[b]) + 1))
+    return gid

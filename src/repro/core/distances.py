@@ -20,8 +20,9 @@ The metrics here are the glue between the two signature spaces:
   chunk or partition boundaries.
 
 Matrix forms (``od_matrix`` / ``wd_matrix``) evaluate one metric for a
-whole batch of signatures against all centroids at once; they are what the
-Spark assignment kernel and the query router call.
+whole batch of signatures against all centroids at once; they are what
+`assignment.candidates`, the OD → WD kernel of the build's assignment and
+of the query router, calls.
 """
 from __future__ import annotations
 

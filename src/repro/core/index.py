@@ -25,7 +25,7 @@ Step 4  full-dataset redistribution: the skeleton (pivots included) ships to
         ``node`` and the ``pid`` directory are stored.
 
 After the write, the driver reads back the ``pid`` and ``node`` columns
-(`query.stored_columns`, no Spark job) for exact partition occupancies and
+(:func:`stored_columns`, no Spark job) for exact partition occupancies and
 node counts (`Skeleton.refine_counts`) — Algorithm 3's ``Size(G_N)`` and
 the adaptive expansion consult these at query time.
 """
@@ -43,7 +43,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from .paa import map_series, paa_np, sample_paa
 from .pivots import select_pivots, signatures_np
-from .query import QueryPlan, occupancy, route_adaptive, route_knn, route_od_smallest, stored_columns, timed_knn
+from .query import QueryPlan, route, timed_knn
 from .skeleton import Skeleton, build_skeleton
 
 
@@ -108,22 +108,16 @@ class ClimberIndex:
     # ---- query API (paper §VI); all variants share the scan operator ----
 
     def plan(self, series: np.ndarray, k: int, *, variant: str = "adaptive-4x", qid: int = 0) -> QueryPlan:
-        sk = self.skeleton
-        if variant == "knn":
-            return route_knn(sk, series, k, qid=qid)
-        if variant == "adaptive-2x":
-            return route_adaptive(sk, series, k, factor=2, qid=qid)
-        if variant == "adaptive-4x":
-            return route_adaptive(sk, series, k, factor=4, qid=qid)
-        if variant == "od-smallest":
-            return route_od_smallest(sk, series, k, qid=qid)
-        raise ValueError(f"unknown variant {variant!r}")
+        """One query's plan: `query.route` on one row."""
+        return route(self.skeleton, series, k, variant, [qid])[0]
 
     def knn_batch(
         self, spark: SparkSession, queries: np.ndarray, k: int, *, variant: str = "adaptive-4x"
     ):
         """Plan + execute a batch of queries; returns (results, stats), with
         routing inside ``stats.seconds``."""
+        # One `plan` call per query, not one `route` over the batch: perfbench's
+        # traced ``index.plan.ms_per_query`` divides by the number of calls.
         def planner(Q):
             return {i: self.plan(q, k, variant=variant, qid=i) for i, q in enumerate(Q)}
 
@@ -160,6 +154,22 @@ class ClimberIndex:
             pid_counts={int(k): v for k, v in meta["pid_counts"].items()},
             n_series=meta["n_series"],
         )
+
+
+def stored_columns(data_path: str, *columns: str) -> List[np.ndarray]:
+    """Integer columns of every stored row, read on the driver through
+    ``pyarrow.dataset`` (``pid`` from the ``pid=`` directories); no Spark job.
+    Imported here, not at module level: executors import this module
+    (`baselines.common` does) and never read the dataset."""
+    import pyarrow.dataset as ds
+
+    t = ds.dataset(data_path, format="parquet", partitioning="hive").to_table(columns=list(columns))
+    return [t.column(c).to_numpy().astype(np.int64) for c in columns]
+
+
+def occupancy(pid: np.ndarray) -> Dict[int, int]:
+    """``pid → stored rows``; a pid with no row is absent."""
+    return {p: c for p, c in enumerate(np.bincount(pid).tolist()) if c}
 
 
 def write_partitions(rows: DataFrame, data_path: str, *order: str) -> None:

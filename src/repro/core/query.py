@@ -1,16 +1,18 @@
 """CLIMBER query processing (paper §VI) — routing + distributed kNN scan.
 
-Routing (driver side, against the broadcast-size skeleton):
+Routing (driver side, against the broadcast-size skeleton): :func:`route`
+plans a batch of queries. It computes the batch's signatures once and runs
+Algorithm 3's lines 5–9 — Algorithm 1's OD → WD rules — through the build's
+own kernel, `assignment.candidates`, once; then each query takes its
+variant's rule from :data:`VARIANTS`:
 
-* :func:`route_knn` — Algorithm 3: OD → WD → deepest-trie-path →
-  largest-node → random tie-breaks; returns the target trie node's
-  partitions.
-* :func:`route_adaptive` — CLIMBER-kNN-Adaptive-NX: when the target node
-  holds fewer than K objects, expand over the memorized next-best trie
-  nodes (within the smallest-OD groups) until the candidate pool covers K,
-  capped at ``factor`` × the base algorithm's partition count.
-* :func:`route_od_smallest` — the §VII-C comparison point: scan *all*
-  groups at the minimum OD.
+* ``knn`` — Algorithm 3: deepest-trie-path → largest-node → random
+  tie-breaks over the WD-tied groups; the target trie node's partitions.
+* ``adaptive-2x`` / ``adaptive-4x`` — CLIMBER-kNN-Adaptive-NX: expand over
+  the memorized next-best trie nodes of the smallest-OD groups, capped at
+  N × the base algorithm's partition count.
+* ``od-smallest`` — the §VII-C comparison point: scan *all* groups at the
+  minimum OD.
 
 Scanning (executor side): :func:`knn_scan` is the custom kNN operator —
 one job; planned directories under the stored schema. It reads the ``pid=``
@@ -36,16 +38,15 @@ import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Dict, Iterator, List, Tuple
+from functools import partial, reduce
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.dataset as ds
 from pyspark.sql import DataFrame, SparkSession
 
-from .assignment import FALLBACK_GID, tied_groups_after_wd
-from .distances import merge_topk, od_matrix, topk
+from .assignment import FALLBACK_GID, candidates
+from .distances import merge_topk, topk
 from .paa import series_matrix
 from .skeleton import Skeleton
 from .trie import TrieNode, navigate
@@ -67,43 +68,17 @@ class QueryPlan:
         return len(self.pids)
 
 
-def _signatures(sk: Skeleton, series: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The query's rank-sensitive signature and its OD to every real centroid;
-    ``ValueError`` on a non-finite reading."""
-    sig_rs, sig_ri = sk.signatures(_query_matrix(series))
-    return sig_rs[0], od_matrix(sig_ri, sk.mask)[0]
+def _gids(row: np.ndarray) -> List[int]:
+    """Group ids marked in one row of a `candidates` mask; ``[G₀]`` if none."""
+    return [int(c) + 1 for c in np.flatnonzero(row)] or [FALLBACK_GID]
 
 
-def _candidate_groups(sk: Skeleton, sig_rs: np.ndarray, od: np.ndarray) -> List[int]:
-    """Algorithm 3 lines 5–9: groups with smallest OD, WD tie-broken."""
-    cands = tied_groups_after_wd(sig_rs, od, sk.mask, sk.weights) if od.size else []
-    return [int(c) for c in cands] or [FALLBACK_GID]
-
-
-def _groups_at_min_od(sk: Skeleton, od: np.ndarray) -> List[int]:
-    """All groups sharing the smallest OD (no WD tie-break) — OD-Smallest."""
-    if not od.size or od.min() >= sk.m:
-        return [FALLBACK_GID]
-    return [int(i) + 1 for i in np.flatnonzero(od == od.min())]
-
-
-def _chain(root: TrieNode, sig_rs: np.ndarray) -> List[TrieNode]:
-    """The nodes `navigate` passes through, deepest first, root last."""
-    chain = [root]
-    for pivot in sig_rs:
-        child = chain[-1].children.get(int(pivot))
-        if child is None:
-            break
-        chain.append(child)
-    return chain[::-1]
-
-
-def _route_knn(sk: Skeleton, sig_rs: np.ndarray, od: np.ndarray, k: int, qid: int) -> QueryPlan:
-    """Algorithm 3 for a query's precomputed signature and centroid ODs."""
-    cands = _candidate_groups(sk, sig_rs, od)
-    # Lines 10–19: traverse each candidate group's trie, prefer the longest
-    # matched path, then the largest node, then a seeded random pick.
-    best: List[Tuple[int, TrieNode]] = [(g, navigate(sk.groups[g].trie, sig_rs)) for g in cands]
+def _knn(
+    sk: Skeleton, sig_rs: np.ndarray, at_od: np.ndarray, tied: np.ndarray, k: int, qid: int
+) -> QueryPlan:
+    """Algorithm 3 lines 10–19: traverse each WD-tied group's trie, prefer the
+    longest matched path, then the largest node, then a seeded random pick."""
+    best: List[Tuple[int, TrieNode]] = [(g, navigate(sk.groups[g].trie, sig_rs)) for g in _gids(tied)]
     if len(best) > 1:
         max_len = max(n.depth() for _, n in best)
         best = [(g, n) for g, n in best if n.depth() == max_len]
@@ -123,13 +98,8 @@ def _route_knn(sk: Skeleton, sig_rs: np.ndarray, od: np.ndarray, k: int, qid: in
     )
 
 
-def route_knn(sk: Skeleton, series: np.ndarray, k: int, *, qid: int = 0) -> QueryPlan:
-    """Algorithm 3 for one raw query series."""
-    return _route_knn(sk, *_signatures(sk, series), k, qid)
-
-
-def route_adaptive(
-    sk: Skeleton, series: np.ndarray, k: int, *, factor: int = 4, qid: int = 0
+def _adaptive(
+    factor: int, sk: Skeleton, sig_rs: np.ndarray, at_od: np.ndarray, tied: np.ndarray, k: int, qid: int
 ) -> QueryPlan:
     """CLIMBER-kNN-Adaptive-NX (paper §VI).
 
@@ -143,23 +113,24 @@ def route_adaptive(
     the cost (see DESIGN.md §4, "query-density adaptation").
 
     Expansion accumulates the memorized best-matching trie nodes — the
-    matched ancestor chain of every smallest-OD group, ranked by (OD, path
-    length desc, node size desc) — up to ``factor`` × the base plan's
+    matched ancestor chain of every smallest-OD group, ranked by (path
+    length desc, node size desc, gid) — up to ``factor`` × the base plan's
     partition count (the ``MaxNumPartitions`` cap), and evaluates every
     record of the partitions it loads.
     """
-    sig_rs, od = _signatures(sk, series)
-    base = _route_knn(sk, sig_rs, od, k, qid)
+    base = _knn(sk, sig_rs, at_od, tied, k, qid)
 
-    # Memorized candidates: the matched ancestor chain (deepest node first,
-    # up to the group root) of every tied group — the "longest and 2nd
-    # longest best matches" of §VI, generalized to the full chain so the
-    # NX partition budget, not the memo depth, is the binding constraint.
-    cands: List[Tuple[int, int, float, int, TrieNode]] = []  # sort key + node
-    for g in _groups_at_min_od(sk, od):
-        g_od = int(od[g - 1]) if g != FALLBACK_GID else sk.m
-        cands += [(g_od, -n.depth(), -n.count, g, n) for n in _chain(sk.groups[g].trie, sig_rs)]
-    cands.sort(key=lambda t: t[:4])
+    # Memorized candidates: the matched ancestor chain (the node `navigate`
+    # reaches on each prefix of the matched path) of every smallest-OD group
+    # — the "longest and 2nd longest best matches" of §VI, generalized to the
+    # full chain so the NX partition budget, not the memo depth, is the
+    # binding constraint.
+    cands: List[Tuple[int, float, int, TrieNode]] = []  # sort key + node
+    for g in _gids(at_od):
+        trie = sk.groups[g].trie
+        chain = (navigate(trie, sig_rs[:d]) for d in range(navigate(trie, sig_rs).depth() + 1))
+        cands += [(-n.depth(), -n.count, g, n) for n in chain]
+    cands.sort(key=lambda t: t[:3])
 
     max_parts = max(base.n_partitions, factor * max(1, base.n_partitions))
     pids = set(base.pids)
@@ -176,11 +147,35 @@ def route_adaptive(
     )
 
 
-def route_od_smallest(sk: Skeleton, series: np.ndarray, k: int, *, qid: int = 0) -> QueryPlan:
+def _od_smallest(
+    sk: Skeleton, sig_rs: np.ndarray, at_od: np.ndarray, tied: np.ndarray, k: int, qid: int
+) -> QueryPlan:
     """Scan every partition of every smallest-OD group (Fig. 11(b) reference)."""
-    groups = _groups_at_min_od(sk, _signatures(sk, series)[1])
+    groups = _gids(at_od)
     pids = frozenset().union(*(sk.groups[g].trie.pids for g in groups))
     return QueryPlan(pids=tuple(sorted(pids)), gid=groups[0], node_count=float("nan"))
+
+
+# Each variant's per-query rule: (skeleton, sig_rs, at_od, tied, k, qid) → plan.
+VARIANTS = {
+    "knn": _knn,
+    "adaptive-2x": partial(_adaptive, 2),
+    "adaptive-4x": partial(_adaptive, 4),
+    "od-smallest": _od_smallest,
+}
+
+
+def route(sk: Skeleton, queries: np.ndarray, k: int, variant: str, qids: Iterable[int]) -> List[QueryPlan]:
+    """Plan a batch of raw query series (Q × n, or one series) with
+    ``variant``: one plan per row, row ``i`` under query id ``qids[i]`` (the
+    seed of its random tie-break). ``ValueError`` on an unknown variant or a
+    non-finite reading."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    sig_rs, _ = sk.signatures(_query_matrix(queries))
+    at_od, tied = candidates(sig_rs, sk.mask, sk.weights)
+    rule = VARIANTS[variant]
+    return [rule(sk, s, a, t, k, int(q)) for s, a, t, q in zip(sig_rs, at_od, tied, qids)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +276,6 @@ def knn_scan(
     """
     pids = {int(p) for pl in plans.values() for p in pl.pids}
     return _scan(_planned_rows(spark, index, pids), plans, queries, k)
-
-
-def stored_columns(data_path: str, *columns: str) -> List[np.ndarray]:
-    """Integer columns of every stored row, read on the driver through
-    ``pyarrow.dataset`` (``pid`` from the ``pid=`` directories); no Spark job."""
-    t = ds.dataset(data_path, format="parquet", partitioning="hive").to_table(columns=list(columns))
-    return [t.column(c).to_numpy().astype(np.int64) for c in columns]
-
-
-def occupancy(pid: np.ndarray) -> Dict[int, int]:
-    """``pid → stored rows``; a pid with no row is absent."""
-    return {p: c for p, c in enumerate(np.bincount(pid).tolist()) if c}
 
 
 @dataclass

@@ -85,26 +85,26 @@ class Skeleton:
         is the ordinal of the deepest matched node (what the in-partition
         layout sorts and filters by).
         """
-        res = assign_batch(sig_rs, self.mask, self.weights, ids=ids, seed=self.seed)
+        gid = assign_batch(sig_rs, self.mask, self.weights, ids=ids, seed=self.seed)
         B = sig_rs.shape[0]
         pid = np.empty(B, dtype=np.int64)
         nodes = np.empty(B, dtype=np.int64)
         for b in range(B):
-            g = self.groups[int(res.gid[b])]
+            g = self.groups[int(gid[b])]
             node = navigate(g.trie, sig_rs[b])
             nodes[b] = node.ord
             if node.is_leaf and node.pids:
                 pid[b] = next(iter(node.pids))
             else:
                 pid[b] = g.default_pid
-        return res.gid, pid, nodes
+        return gid, pid, nodes
 
     def assign_rows(self, ids: np.ndarray, X: np.ndarray) -> Dict[str, np.ndarray]:
         """Step 4's batch function for `paa.map_series`: raw series (rows × n)
         → their stored ``gid``, ``node`` and ``pid`` columns, by
-        :meth:`signatures` and :meth:`assign_records`. It is a method here so
-        that an executor running it imports this module only: `index` pulls
-        in ``pyarrow.dataset``, about 40 MB more in every Python worker."""
+        :meth:`signatures` and :meth:`assign_records`. As a bound method it
+        carries the skeleton to the executors in the kernel's closure (the
+        paper's Step-4 broadcast)."""
         gid, pid, node = self.assign_records(self.signatures(X)[0], ids)
         return {"gid": gid, "node": node, "pid": pid}
 
@@ -195,9 +195,9 @@ def build_skeleton(
     members: Dict[int, List[Tuple[Tuple[int, ...], float]]] = {g: [] for g in sk.groups}
     if rs_list:
         S = np.asarray(rs_list, dtype=np.int64)
-        res = assign_batch(S, sk.mask, sk.weights, ids=np.arange(len(rs_list)), seed=seed)
+        gid = assign_batch(S, sk.mask, sk.weights, ids=np.arange(len(rs_list)), seed=seed)
         scale = 1.0 / alpha
-        for sig, f, g in zip(rs_list, freqs, res.gid):
+        for sig, f, g in zip(rs_list, freqs, gid):
             members[int(g)].append((sig, float(f) * scale))
 
     # Step 3b — per-group trie + FFD packing into global partition ids.

@@ -34,7 +34,7 @@ from ..baselines.dpisax import build_dpisax
 from ..baselines.dss import timed_dss_knn
 from ..baselines.tardis import build_tardis
 from ..core.index import ClimberIndex, ClimberParams, build_index
-from ..core.query import QueryStats
+from ..core.query import QueryStats, route
 from ..memsys.odyssey import CapacityExceeded, OdysseyEngine
 from ..memsys.parlayann import ParlayAnnHnsw
 from ..synth_data import SERIES_DATASETS
@@ -301,10 +301,8 @@ def run_adaptive_eval(spark: SparkSession, workdir: str, *, n_queries: int = 6) 
     """
     with _instance(spark, "randomwalk", SWEEP_GB, n_queries) as (df, queries), \
             built(spark, "CLIMBER", df, workdir, DEFAULT_PARAMS) as (idx, _):
-        node_caps = [
-            max(1, int(idx.plan(q, 1, variant="knn", qid=i).node_count))
-            for i, q in enumerate(queries)
-        ]
+        node_caps = [max(1, int(p.node_count))
+                     for p in route(idx.skeleton, queries, 1, "knn", range(len(queries)))]
         rows: List[Dict] = []
         for ratio in ADAPTIVE_RATIOS:
             recalls = {v: [] for v in CLIMBER_VARIANTS}

@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.assignment import FALLBACK_GID, assign_batch, tied_groups_after_wd
+from repro.core.assignment import FALLBACK_GID, assign_batch, candidates
 from repro.core.distances import centroid_mask, decay_weights, od_matrix
+
+
+def tied_groups(sig, mask, w):
+    """Group ids (1-based) still tied after OD + WD for one signature."""
+    return np.flatnonzero(candidates(sig[None], mask, w)[1][0]) + 1
 
 
 @pytest.fixture()
@@ -20,31 +25,31 @@ def example1():
 class TestExample1:
     def test_X_assigned_to_G1(self, example1):
         mask, w, sigs = example1
-        res = assign_batch(sigs[:1], mask, w)
-        assert res.gid[0] == 1  # OD(X,G1)=1 < OD(X,G2)=2 — unique smallest
+        gid = assign_batch(sigs[:1], mask, w)
+        assert gid[0] == 1  # OD(X,G1)=1 < OD(X,G2)=2 — unique smallest
 
     def test_Y_assigned_to_G2_via_WD(self, example1):
         mask, w, sigs = example1
-        res = assign_batch(sigs[1:2], mask, w)
+        gid = assign_batch(sigs[1:2], mask, w)
         # OD tie (both 1); WD(Y,G1)=1 > WD(Y,G2)=0.25 → G2.
-        assert res.gid[0] == 2
+        assert gid[0] == 2
 
     def test_Z_random_between_G1_G2(self, example1):
         mask, w, sigs = example1
-        res = assign_batch(sigs[2:3], mask, w, ids=np.array([99]))
-        assert res.gid[0] in (1, 2)
-        assert set(tied_groups_after_wd(sigs[2], res.od[0], mask, w).tolist()) == {1, 2}
+        gid = assign_batch(sigs[2:3], mask, w, ids=np.array([99]))
+        assert gid[0] in (1, 2)
+        assert set(tied_groups(sigs[2], mask, w).tolist()) == {1, 2}
 
     def test_Z_assignment_deterministic_per_id(self, example1):
         mask, w, sigs = example1
         a = assign_batch(sigs[2:3], mask, w, ids=np.array([5]), seed=1)
         b = assign_batch(sigs[2:3], mask, w, ids=np.array([5]), seed=1)
-        assert a.gid[0] == b.gid[0]
+        assert a[0] == b[0]
 
     def test_Z_varies_across_ids(self, example1):
         mask, w, sigs = example1
         picks = {
-            int(assign_batch(sigs[2:3], mask, w, ids=np.array([i]), seed=1).gid[0])
+            int(assign_batch(sigs[2:3], mask, w, ids=np.array([i]), seed=1)[0])
             for i in range(40)
         }
         assert picks == {1, 2}  # rule 4 really is random over the tied pair
@@ -54,42 +59,46 @@ class TestFallback:
     def test_zero_overlap_goes_to_G0(self, example1):
         mask, w, _ = example1
         sig = np.array([7, 8, 9])
-        res = assign_batch(sig[None], mask, w)
-        assert res.gid[0] == FALLBACK_GID
-        assert tied_groups_after_wd(sig, res.od[0], mask, w).size == 0
+        gid = assign_batch(sig[None], mask, w)
+        assert gid[0] == FALLBACK_GID
+        assert tied_groups(sig, mask, w).size == 0
 
     def test_mixed_batch(self, example1):
         mask, w, sigs = example1
         batch = np.vstack([sigs, [[7, 8, 9]]])
-        res = assign_batch(batch, mask, w, ids=np.arange(4))
-        assert res.gid[3] == FALLBACK_GID
-        assert res.gid[0] == 1 and res.gid[1] == 2
+        gid = assign_batch(batch, mask, w, ids=np.arange(4))
+        assert gid[3] == FALLBACK_GID
+        assert gid[0] == 1 and gid[1] == 2
 
 
 class TestTiedGroups:
     def test_unique_min_single_candidate(self, example1):
         mask, w, sigs = example1
-        od = od_matrix(sigs[:1], mask)[0]
-        cands = tied_groups_after_wd(sigs[0], od, mask, w)
+        cands = tied_groups(sigs[0], mask, w)
         assert list(cands) == [1]
 
     def test_wd_resolves_tie(self, example1):
         mask, w, sigs = example1
-        od = od_matrix(sigs[1:2], mask)[0]
-        cands = tied_groups_after_wd(sigs[1], od, mask, w)
+        cands = tied_groups(sigs[1], mask, w)
         assert list(cands) == [2]
 
     def test_double_tie_returns_both(self, example1):
         mask, w, sigs = example1
-        od = od_matrix(sigs[2:3], mask)[0]
-        cands = tied_groups_after_wd(sigs[2], od, mask, w)
+        cands = tied_groups(sigs[2], mask, w)
         assert sorted(cands.tolist()) == [1, 2]
 
     def test_no_overlap_empty(self, example1):
         mask, w, _ = example1
         sig = np.array([7, 8, 9])
-        od = od_matrix(sig[None], mask)[0]
-        assert tied_groups_after_wd(sig, od, mask, w).size == 0
+        assert tied_groups(sig, mask, w).size == 0
+
+    def test_masks_per_rule(self, example1):
+        """``at_od`` keeps every smallest-OD group, ``tied`` only the WD
+        winners among them; both are empty for a fall-back row."""
+        mask, w, sigs = example1
+        at_od, tied = candidates(np.vstack([sigs, [[7, 8, 9]]]), mask, w)
+        assert at_od.tolist() == [[True, False], [True, True], [True, True], [False, False]]
+        assert tied.tolist() == [[True, False], [False, True], [True, True], [False, False]]
 
 
 class TestBatchSemantics:
@@ -134,7 +143,7 @@ class TestBatchSemantics:
         for B, C in ((12, 4), (200, 3)):
             sigs, mask, w = self._case(seed, B, C)
             ids = np.arange(B)
-            got = assign_batch(sigs, mask, w, ids=ids, seed=seed).gid
+            got = assign_batch(sigs, mask, w, ids=ids, seed=seed)
             np.testing.assert_array_equal(got, self._reference(sigs, mask, w, ids, seed))
 
     def test_tie_heavy_batch_mixes_every_rule(self):
@@ -143,15 +152,15 @@ class TestBatchSemantics:
         sigs, mask, w = self._case(0, 200, 3)
         m = sigs.shape[1]
         od = od_matrix(sigs, mask)
-        cands = [tied_groups_after_wd(s, o, mask, w) for s, o in zip(sigs, od)]
+        n_tied = candidates(sigs, mask, w)[1].sum(axis=1)
         n_best = (od == od.min(axis=1)[:, None]).sum(axis=1)
         fallback = od.min(axis=1) >= m
         unique = ~fallback & (n_best == 1)
-        wd_resolved = ~fallback & (n_best > 1) & np.array([c.size == 1 for c in cands])
-        random_tie = np.array([c.size > 1 for c in cands])
+        wd_resolved = ~fallback & (n_best > 1) & (n_tied == 1)
+        random_tie = n_tied > 1
         assert min(fallback.sum(), unique.sum(), wd_resolved.sum(), random_tie.sum()) > 0
         ids = np.arange(200)
-        got = assign_batch(sigs, mask, w, ids=ids, seed=3).gid
+        got = assign_batch(sigs, mask, w, ids=ids, seed=3)
         np.testing.assert_array_equal(got, self._reference(sigs, mask, w, ids, 3))
 
     def test_batching_invariance(self):
@@ -160,8 +169,8 @@ class TestBatchSemantics:
         mask = centroid_mask([(0, 1, 2), (2, 3, 4), (4, 5, 6)], r=8)
         w = decay_weights(3, "exp", 0.5)
         ids = np.arange(10)
-        whole = assign_batch(sigs, mask, w, ids=ids).gid
+        whole = assign_batch(sigs, mask, w, ids=ids)
         parts = np.concatenate(
-            [assign_batch(sigs[i : i + 3], mask, w, ids=ids[i : i + 3]).gid for i in range(0, 10, 3)]
+            [assign_batch(sigs[i : i + 3], mask, w, ids=ids[i : i + 3]) for i in range(0, 10, 3)]
         )
         np.testing.assert_array_equal(whole, parts)

@@ -7,7 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.baselines.dss import dss_knn
 from repro.core.index import build_index
-from repro.core.query import QueryPlan, knn_scan, route_knn
+from repro.core.query import QueryPlan, knn_scan, route
 from tests.conftest import K_SMALL, LEN_SMALL, SMALL_PARAMS
 
 VARIANTS = ("knn", "adaptive-2x", "adaptive-4x", "od-smallest")
@@ -61,7 +61,7 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match=msg):
                 climber_index.plan(bad[2], K_SMALL, variant=variant)
         with pytest.raises(ValueError, match=msg):
-            route_knn(climber_index.skeleton, bad[2], K_SMALL)
+            route(climber_index.skeleton, bad[2], K_SMALL, "knn", [0])
         for idx in (tardis_index, dpisax_index):
             with pytest.raises(ValueError, match=r"non-finite query readings in query rows \[2\]"):
                 idx.plans(bad)

@@ -15,9 +15,9 @@ from pyspark.sql import functions as F
 from repro.core.assignment import FALLBACK_GID
 from repro.baselines.dpisax import build_dpisax
 from repro.baselines.tardis import build_tardis
-from repro.core.index import ClimberIndex, ClimberParams, build_index
+from repro.core.index import ClimberIndex, ClimberParams, build_index, occupancy, stored_columns
 from repro.core.paa import map_series, series_matrix
-from repro.core.query import QueryPlan, _route_knn, knn_scan, occupancy, stored_columns
+from repro.core.query import QueryPlan, knn_scan, route
 from repro.core.trie import iter_nodes
 from repro.oracle import assert_equivalent
 from tests.conftest import BASELINE_KW, K_SMALL, N_SMALL, SMALL_PARAMS, decode_series, job_group
@@ -201,8 +201,8 @@ class TestEmptyPartition:
         plan expands, and the scan and ``knn_batch`` answer ``[]``."""
         sk = climber_index.skeleton
         _, Q = queries
-        sig_rs, _ = sk.signatures(Q[:1])
-        plan = _route_knn(sk, sig_rs[0], np.full(sk.mask.shape[0], sk.m), K_SMALL, 0)
+        monkeypatch.setattr(sk, "mask", np.zeros_like(sk.mask))  # no pivot in any centroid
+        plan = route(sk, Q[:1], K_SMALL, "knn", [0])[0]
         g0 = sk.groups[FALLBACK_GID]
         assert plan.gid == FALLBACK_GID and plan.pids == (g0.default_pid,)
         assert plan.expand_full and plan.node_count == 0

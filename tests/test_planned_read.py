@@ -112,7 +112,7 @@ class TestSameAnswersAsDiscovery:
         """A ``load``ed index answers from its saved ``pid_counts``: one job,
         the planned directories only, nothing listed on the driver."""
         loaded = ClimberIndex.load(climber_index.out_dir)
-        monkeypatch.setattr("repro.core.query.ds.dataset", None)  # no pyarrow listing
+        monkeypatch.setattr("pyarrow.dataset.dataset", None)  # no pyarrow listing
         plans = climber_plans(loaded, Q, VARIANTS * 2)
         with job_group(spark, "loaded") as jobs:
             got = knn_scan(spark, loaded, plans, Q, K_SMALL)

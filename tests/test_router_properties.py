@@ -10,15 +10,16 @@ and parameters rather than on the one fixture index:
   (``MaxNumPartitions``);
 * every planned pid is a skeleton partition that holds rows, or an empty
   one that the scan answers ``[]`` for;
-* a saved and reloaded index plans and answers ``==``.
+* a saved and reloaded index plans and answers ``==``;
+* routing a batch plans each query as routing it alone does.
 
 ``A2X ⊆ A4X`` is not among them: the greedy budget does not nest.
 """
 import numpy as np
 import pytest
 
-from repro.core.index import ClimberIndex, ClimberParams, build_index
-from repro.core.query import QueryPlan, knn_scan, occupancy, stored_columns
+from repro.core.index import ClimberIndex, ClimberParams, build_index, occupancy, stored_columns
+from repro.core.query import QueryPlan, knn_scan, route
 from repro.synth_data import eeg_series, random_walk_series, sift_like_series
 from tests.conftest import K_SMALL
 
@@ -85,3 +86,11 @@ class TestRouterProperties:
         for v in VARIANTS:
             res, _ = idx.knn_batch(spark, Q, K_SMALL, variant=v)
             assert loaded.knn_batch(spark, Q, K_SMALL, variant=v)[0] == res, v
+
+    def test_batch_route_equals_single_plans(self, built):
+        """One `route` over the batch gives each query the plan `plan` gives
+        it alone (perfbench's answer check re-plans each query with `plan`)."""
+        idx, Q = built
+        for v in VARIANTS:
+            batch = route(idx.skeleton, Q, K_SMALL, v, range(len(Q)))
+            assert repr(batch) == repr(_plans(idx, Q)[v]), v

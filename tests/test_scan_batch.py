@@ -1,8 +1,14 @@
-"""The kNN operator's per-batch body, called on Arrow batches without Spark."""
+"""The kNN operator's per-batch body, called on Arrow batches without Spark,
+and what the modules an executor imports load."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pyarrow as pa
 import pytest
 
+import repro
 from repro.core.distances import merge_topk
 from repro.core.query import QueryPlan, plans_by_pid, scan_batch
 
@@ -140,3 +146,15 @@ class TestScanBatch:
                          batch.column("node").to_pylist())
         with pytest.raises(ValueError, match="non-finite"):
             scan_batch(bad, Q, plans_by_pid(PLANS), K)
+
+
+def test_executor_modules_leave_pyarrow_dataset_unloaded():
+    """The modules a scan or build worker imports do not load
+    ``pyarrow.dataset``: only the driver reads the stored dataset
+    (`index.stored_columns`)."""
+    code = ("import sys, repro.core.query, repro.core.skeleton, repro.baselines.tardis, "
+            "repro.baselines.dpisax; print('pyarrow.dataset' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
