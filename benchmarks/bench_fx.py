@@ -3,14 +3,17 @@
 These are the per-record costs that Fig. 10(a) attributes the build-time
 growth to ("pivot-based conversions and comparisons"); measured here as
 pure numpy kernels over a 10k×256 batch. The Arrow series decode,
-Algorithm 1 on a tie-heavy batch, the exact top-K of the query scans and
-the driver's query router are here too, so a regression in these kernels
-shows without a Spark run.
+Algorithm 1 on a tie-heavy batch, the exact top-K of the query scans, the
+driver's query router and the TARDIS / DPiSAX batch routers are here too,
+so a regression in these kernels shows without a Spark run.
 """
 import numpy as np
 import pyarrow as pa
 import pytest
 
+from repro.baselines.dpisax import build_split_table
+from repro.baselines.isax import isax_symbols
+from repro.baselines.tardis import build_sigtree
 from repro.core.assignment import assign_batch
 from repro.core.distances import centroid_mask, decay_weights, ed_np, od_matrix, topk, wd_matrix
 from repro.core.paa import paa_np, series_matrix, znorm_np
@@ -125,3 +128,12 @@ def test_route_batch(benchmark, batch, skeleton, variant):
     `assignment.candidates` once, then each query's rule."""
     Q = znorm_np(batch[0][:50])
     benchmark(route, skeleton, Q, 50, variant, range(50))
+
+
+@pytest.mark.parametrize("router", ["tardis", "dpisax"])
+def test_baseline_router(benchmark, batch, router):
+    """`router.pids` over the batch's 10k iSAX words (of its z-normalised
+    PAA), the router built from every fourth word as a 25 % sample."""
+    words = isax_symbols(batch[1])
+    build = build_sigtree if router == "tardis" else build_split_table
+    benchmark(build(words[::4], 0.25, 1000).pids, words)

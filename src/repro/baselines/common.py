@@ -9,6 +9,7 @@ same build substrate:
    executor-side transform is :func:`isax_paa` (PAA of the z-normalised
    series); its iSAX words (`isax.isax_symbols` at MAX_BITS) are collected,
 2. a global partitioning structure (the *router*) built from those words,
+   whose one call ``router.pids(symbols)`` maps a (B × w) batch to pids,
 3. full-data redistribution through CLIMBER's build kernel
    (`paa.map_series`) and writer (`index.write_partitions`): each series'
    ``pid`` comes from :meth:`BaselineIndex.pids`, its stored row is in
@@ -55,7 +56,7 @@ class BaselineIndex:
 
     out_dir: str
     w: int
-    router: object  # picklable structure with .route(symbols_row) -> pid
+    router: object  # picklable structure with .pids(symbols (B × w)) -> (B,) int64
     pid_counts: Dict[int, int] = field(default_factory=dict)
     build_s: float = 0.0
     n_series: int = 0
@@ -68,11 +69,10 @@ class BaselineIndex:
         return len(pickle.dumps(self.router, protocol=pickle.HIGHEST_PROTOCOL))
 
     def pids(self, series: np.ndarray) -> np.ndarray:
-        """Raw series (rows × n) → each one's partition: the router's pid for
-        its iSAX word (:func:`isax_paa` at MAX_BITS). Step 4 stores every
-        row, and `plans` routes every query, through here."""
-        return np.array([self.router.route(s) for s in isax_symbols(isax_paa(series, self.w))],
-                        dtype=np.int64)
+        """Raw series (rows × n) → each one's partition: one ``router.pids``
+        call over their iSAX words (:func:`isax_paa` at MAX_BITS). Step 4
+        stores every row, and `plans` routes every query, through here."""
+        return self.router.pids(isax_symbols(isax_paa(series, self.w)))
 
     def plans(self, queries: np.ndarray) -> Dict[int, QueryPlan]:
         """Each query's plan: the one partition its iSAX word routes to;

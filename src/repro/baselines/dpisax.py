@@ -27,7 +27,7 @@ from .isax import MAX_BITS
 
 @dataclass
 class _Leaf:
-    pid: int = -1
+    pid: int
 
 
 @dataclass
@@ -41,18 +41,26 @@ class _Split:
 
 
 class SplitTable:
-    """The picklable DPiSAX partitioning table (router protocol: ``.route``)."""
+    """The picklable DPiSAX partitioning table (router protocol: ``.pids``)."""
 
     def __init__(self, root: Union[_Split, _Leaf], n_partitions: int):
         self.root = root
         self.n_partitions = n_partitions
 
-    def route(self, symbols_row: np.ndarray) -> int:
-        node = self.root
-        while isinstance(node, _Split):
-            bit = (int(symbols_row[node.seg]) >> (MAX_BITS - 1 - node.bit)) & 1
-            node = node.one if bit else node.zero
-        return node.pid
+    def pids(self, symbols: np.ndarray) -> np.ndarray:
+        """iSAX words at MAX_BITS (B × w) → cell pids, (B,) int64: level by
+        level, each split sends its rows to the child their tested bit names."""
+        S = np.asarray(symbols)
+        out = np.full(len(S), -1, dtype=np.int64)
+        stack = [(self.root, np.arange(len(S)))]
+        while stack:
+            node, rows = stack.pop()
+            if isinstance(node, _Leaf):
+                out[rows] = node.pid
+                continue
+            one = _bit(S[rows], node.seg, node.bit).astype(bool)
+            stack += [(node.zero, rows[~one]), (node.one, rows[one])]
+        return out
 
 
 def _bit(symbols: np.ndarray, seg: int, bit: int) -> np.ndarray:
@@ -65,9 +73,13 @@ def build_split_table(sample_symbols: np.ndarray, alpha: float, capacity: int) -
     w = S.shape[1]
     scale = 1.0 / alpha
 
+    n = 0  # leaves take pids as they are made: zero-first DFS order
+
     def split(rows: np.ndarray, used: np.ndarray) -> Union[_Split, _Leaf]:
+        nonlocal n
         if rows.size * scale <= capacity or int(used.sum()) >= w * MAX_BITS:
-            return _Leaf()
+            n += 1
+            return _Leaf(pid=n - 1)
         # Among the coarsest (fewest-bits) splittable segments, pick the one
         # whose next bit divides this cell closest to 50/50 (DPiSAX's
         # balance objective).
@@ -91,20 +103,6 @@ def build_split_table(sample_symbols: np.ndarray, alpha: float, capacity: int) -
         )
 
     root = split(np.arange(S.shape[0]), np.zeros(w, dtype=np.int64))
-
-    # Number the leaves in DFS order (zero-first): deterministic pids.
-    n = 0
-
-    def number(node: Union[_Split, _Leaf]) -> None:
-        nonlocal n
-        if isinstance(node, _Leaf):
-            node.pid = n
-            n += 1
-        else:
-            number(node.zero)
-            number(node.one)
-
-    number(root)
     return SplitTable(root=root, n_partitions=n)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -46,14 +45,3 @@ def coarsen(symbols: np.ndarray, from_bits: int, to_bits: int) -> np.ndarray:
     if to_bits > from_bits:
         raise ValueError(f"cannot refine: {from_bits} -> {to_bits} bits")
     return (np.asarray(symbols) >> (from_bits - to_bits)).astype(np.uint16)
-
-
-def word_key(symbols_row: Sequence[int]) -> Tuple[int, ...]:
-    """Hashable iSAX word for dict/grouping use."""
-    return tuple(int(s) for s in symbols_row)
-
-
-def word_l1(a: Sequence[int], b: Sequence[int]) -> int:
-    """L1 distance between two same-cardinality words — the 'nearest existing
-    child' routing metric used when a word was unseen in the sample."""
-    return int(np.abs(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)).sum())

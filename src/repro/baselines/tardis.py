@@ -9,7 +9,8 @@ words — which are close in iSAX space — share partitions.
 
 A word unseen in the sample (at data-redistribution or query time) is
 routed to the *nearest existing sibling* by L1 word distance, keeping the
-space fully covered without a catch-all partition.
+space fully covered without a catch-all partition: :meth:`SigTree.pids`
+takes each row's argmin of L1 over the siblings, 0 for a word the sample saw.
 
 Queries descend to a single leaf and scan only that leaf's partition —
 the paper's point that both iSAX systems "constrain their search to a
@@ -18,13 +19,13 @@ single partition" and pay for it in recall (≤40%).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from pyspark.sql import DataFrame
 
 from .common import BaselineIndex, build_baseline
-from .isax import MAX_BITS, coarsen, word_key, word_l1
+from .isax import MAX_BITS, coarsen
 
 MAX_TREE_BITS = 4  # deepest per-segment cardinality 2^4, as sigTree keeps trees shallow
 
@@ -45,7 +46,7 @@ class SigNode:
 
 
 class SigTree:
-    """Picklable router over the sigTree (router protocol: ``.route``)."""
+    """Picklable router over the sigTree (router protocol: ``.pids``)."""
 
     def __init__(self, root: SigNode):
         self.root = root
@@ -53,19 +54,39 @@ class SigTree:
             (n.pid for n in _iter_leaves(root)), default=-1
         )
 
-    def _descend(self, symbols_row: np.ndarray) -> SigNode:
-        node = self.root
-        while not node.is_leaf:
-            bits = next(iter(node.children.values())).bits
-            key = word_key(coarsen(np.asarray(symbols_row), MAX_BITS, bits))
-            child = node.children.get(key)
-            if child is None:  # unseen word → nearest existing sibling
-                child = min(node.children.values(), key=lambda c: (word_l1(c.word, key), c.word))
-            node = child
-        return node
+    def pids(self, symbols: np.ndarray) -> np.ndarray:
+        """iSAX words at MAX_BITS (B × w) → leaf pids, (B,) int64. Level by
+        level, each row takes the child word nearest in L1; the siblings are
+        in sorted word order, so ``argmin`` breaks ties by the smaller word."""
+        S = np.asarray(symbols)
+        out = np.full(len(S), -1, dtype=np.int64)
+        stack = [(self.root, np.arange(len(S)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                out[rows] = node.pid
+                continue
+            keys, bits = sorted(node.children), node.bits + 1
+            U = _unary(np.array(keys), bits)
+            # L1(a, b) = |u(a)| + |u(b)| − 2·u(a)·u(b), less the row's constant |u(a)|.
+            l1 = (-2.0 * _unary(coarsen(S[rows], MAX_BITS, bits), bits)) @ U.T
+            l1 += U.sum(axis=1)
+            stack += [(node.children[keys[j]], part) for j, part in _split_by(rows, l1.argmin(axis=1))]
+        return out
 
-    def route(self, symbols_row: np.ndarray) -> int:
-        return self._descend(symbols_row).pid
+
+def _split_by(rows: np.ndarray, labels: np.ndarray):
+    """``(label, rows with that label)`` pairs, in ascending label order."""
+    order = np.argsort(labels, kind="stable")
+    uniq, start = np.unique(labels[order], return_index=True)
+    return zip(uniq.tolist(), np.split(rows[order], start[1:]))
+
+
+def _unary(words: np.ndarray, bits: int) -> np.ndarray:
+    """Words (B × w) → 0/1 float32 rows of width w·(2^bits − 1), symbol v as v
+    ones: two codes' dot product is Σ min(a, b), an exact integer ≤ 240 at w=16."""
+    levels = np.arange((1 << bits) - 1)
+    return (words[:, :, None] > levels).reshape(len(words), words.shape[1] * len(levels)).astype(np.float32)
 
 
 def _iter_leaves(node: SigNode):
@@ -83,27 +104,17 @@ def build_sigtree(sample_symbols: np.ndarray, alpha: float, capacity: int) -> Si
 
     def grow(rows: np.ndarray, bits: int, word: Tuple[int, ...]) -> SigNode:
         node = SigNode(bits=bits, word=word, count=rows.size * scale)
-        if rows.size * scale <= capacity or bits >= MAX_TREE_BITS:
-            return node
-        child_words = coarsen(S[rows], MAX_BITS, bits + 1)
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for i, r in enumerate(rows):
-            groups.setdefault(word_key(child_words[i]), []).append(r)
-        if len(groups) <= 1:
-            # refinement does not separate anything further at this depth
-            if bits + 1 >= MAX_TREE_BITS:
-                return node
-        for wkey in sorted(groups):
-            node.children[wkey] = grow(np.asarray(groups[wkey]), bits + 1, wkey)
+        if bits and (rows.size * scale <= capacity or bits >= MAX_TREE_BITS):
+            return node  # the root always splits
+        words, which = np.unique(coarsen(S[rows], MAX_BITS, bits + 1), axis=0, return_inverse=True)
+        if len(words) <= 1 and bits + 1 >= MAX_TREE_BITS:
+            return node  # refinement does not separate anything further at this depth
+        for j, part in _split_by(rows, which.ravel()):
+            wkey = tuple(words[j].tolist())
+            node.children[wkey] = grow(part, bits + 1, wkey)
         return node
 
-    root = SigNode(bits=0, word=())
-    top = coarsen(S, MAX_BITS, 1)
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for i in range(S.shape[0]):
-        groups.setdefault(word_key(top[i]), []).append(i)
-    for wkey in sorted(groups):
-        root.children[wkey] = grow(np.asarray(groups[wkey]), 1, wkey)
+    root = grow(np.arange(len(S)), 0, ())
 
     # Pack leaves into partitions in DFS (word) order: consecutive sibling
     # words fill a partition up to the capacity.

@@ -66,19 +66,19 @@ def paa_np(series: np.ndarray, w: int) -> np.ndarray:
     return sums / lengths
 
 
-def znorm_np(series: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def znorm_np(series: np.ndarray) -> np.ndarray:
     """Z-normalize each series (mean 0, std 1); constant series map to 0.
 
     iSAX breakpoints assume N(0,1)-distributed values, so baselines apply
-    this before PAA. CLIMBER's generators already emit z-normalized series
-    but the kernel is idempotent and safe to reuse.
+    this before PAA. The dataset generators (`synth_data`) emit their rows
+    through it too; the kernel is idempotent and safe to reuse.
     """
     X = np.asarray(series, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     mu = X.mean(axis=1, keepdims=True)
     sd = X.std(axis=1, keepdims=True)
-    sd = np.where(sd < eps, 1.0, sd)
+    sd = np.where(sd < 1e-12, 1.0, sd)
     return (X - mu) / sd
 
 

@@ -15,14 +15,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from .core.paa import znorm_np
+
 SERIES_SCHEMA = "id long, series array<double>"
-
-
-def _znorm_rows(X: np.ndarray) -> np.ndarray:
-    mu = X.mean(axis=1, keepdims=True)
-    sd = X.std(axis=1, keepdims=True)
-    sd = np.where(sd < 1e-12, 1.0, sd)
-    return (X - mu) / sd
 
 
 def _series_df(spark: SparkSession, n: int, make_batch, partitions: int | None = None) -> DataFrame:
@@ -53,7 +48,7 @@ def random_walk_series(spark: SparkSession, *, n: int, length: int = 256, seed: 
 
     def make(ids: np.ndarray) -> np.ndarray:
         steps = _per_row_normals(ids, length, seed)
-        return _znorm_rows(np.cumsum(steps, axis=1))
+        return znorm_np(np.cumsum(steps, axis=1))
 
     return _series_df(spark, n, make)
 
@@ -71,7 +66,7 @@ def sift_like_series(
     def make(ids: np.ndarray) -> np.ndarray:
         noise = _per_row_normals(ids, length, seed + 1)
         which = ids % n_clusters
-        return _znorm_rows(centers[which] + 0.6 * noise)
+        return znorm_np(centers[which] + 0.6 * noise)
 
     return _series_df(spark, n, make)
 
@@ -88,7 +83,7 @@ def dna_series(spark: SparkSession, *, n: int, length: int = 192, seed: int = 17
         u = _per_row_normals(ids, length, seed + 2)
         # Gaussian quartiles → 4 equiprobable bases, deterministic per row.
         bases = np.digitize(u, [-0.6744897501960817, 0.0, 0.6744897501960817])
-        return _znorm_rows(np.cumsum(step_of[bases], axis=1))
+        return znorm_np(np.cumsum(step_of[bases], axis=1))
 
     return _series_df(spark, n, make)
 
@@ -131,7 +126,7 @@ def eeg_series(spark: SparkSession, *, n: int, length: int = 256, seed: int = 19
                     2 * np.pi * 3.0 * 400.0 * t
                 )
             out[i] = x + 0.3 * g.standard_normal(length)
-        return _znorm_rows(out)
+        return znorm_np(out)
 
     return _series_df(spark, n, make)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.dpisax import build_split_table
+from repro.baselines.dpisax import _Split, build_split_table
 from repro.baselines.isax import MAX_BITS, isax_symbols
 from tests.conftest import K_SMALL, N_SMALL
 
@@ -18,9 +18,8 @@ class TestSplitTable:
     def test_full_coverage_any_symbol_routes(self):
         table = build_split_table(sample_syms(), alpha=1.0, capacity=50)
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            row = rng.integers(0, 256, size=8).astype(np.uint16)
-            pid = table.route(row)
+        rows = rng.integers(0, 256, size=(200, 8)).astype(np.uint16)
+        for pid in table.pids(rows):
             assert 0 <= pid < table.n_partitions
 
     def test_partition_count_near_target(self):
@@ -33,7 +32,7 @@ class TestSplitTable:
         S = sample_syms(n=600)
         cap = 80
         table = build_split_table(S, alpha=1.0, capacity=cap)
-        counts = np.bincount([table.route(s) for s in S], minlength=table.n_partitions)
+        counts = np.bincount(table.pids(S), minlength=table.n_partitions)
         assert counts.max() <= cap
 
     def test_alpha_scales_estimates(self):
@@ -52,15 +51,35 @@ class TestSplitTable:
         S = sample_syms(3)
         a = build_split_table(S, alpha=1.0, capacity=40)
         b = build_split_table(S, alpha=1.0, capacity=40)
-        for s in S[:50]:
-            assert a.route(s) == b.route(s)
+        for pa, pb in zip(a.pids(S[:50]), b.pids(S[:50])):
+            assert pa == pb
 
     @given(st.integers(0, 200))
     @settings(max_examples=15, deadline=None)
     def test_route_is_function_of_symbols(self, seed):
         table = build_split_table(sample_syms(seed, n=200), alpha=1.0, capacity=30)
         row = np.random.default_rng(seed + 1).integers(0, 256, size=8).astype(np.uint16)
-        assert table.route(row) == table.route(row.copy())
+        assert table.pids(row[None, :])[0] == table.pids(row.copy()[None, :])[0]
+
+
+def reference_pid(table, row):
+    """Per-row bit walk: at each split, follow the tested bit of the row's symbol."""
+    node = table.root
+    while isinstance(node, _Split):
+        node = node.one if (int(row[node.seg]) >> (MAX_BITS - 1 - node.bit)) & 1 else node.zero
+    return node.pid
+
+
+class TestBatchRouter:
+    @pytest.mark.parametrize("seed,w,capacity", [(20, 4, 5), (21, 8, 3), (22, 16, 10)])
+    def test_pids_equal_per_row_walk(self, seed, w, capacity):
+        """`SplitTable.pids` over a batch equals the per-row bit walk, for
+        sample rows and random words, on tables many splits deep."""
+        S = sample_syms(seed, n=800, w=w)
+        table = build_split_table(S, alpha=1.0, capacity=capacity)
+        assert table.n_partitions >= 800 // capacity
+        probe = np.vstack([S, np.random.default_rng(seed).integers(0, 256, size=(500, w)).astype(np.uint16)])
+        assert table.pids(probe).tolist() == [reference_pid(table, row) for row in probe]
 
 
 class TestSparkIndex:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.isax import MAX_BITS, breakpoints, coarsen, isax_symbols, word_key, word_l1
+from repro.baselines.isax import MAX_BITS, breakpoints, coarsen, isax_symbols
 
 
 class TestBreakpoints:
@@ -76,14 +76,3 @@ class TestCoarsen:
     def test_identity(self):
         s = isax_symbols(np.random.default_rng(2).normal(size=(3, 4)), 5)
         np.testing.assert_array_equal(coarsen(s, 5, 5), s)
-
-
-class TestWords:
-    def test_word_key_hashable(self):
-        k = word_key(np.array([1, 2, 3], dtype=np.uint16))
-        assert k == (1, 2, 3) and hash(k) is not None
-
-    def test_word_l1(self):
-        assert word_l1((1, 2, 3), (1, 2, 3)) == 0
-        assert word_l1((0, 0), (1, 2)) == 3
-        assert word_l1((3, 0), (0, 3)) == 6

@@ -29,15 +29,15 @@ class TestSigTree:
     def test_sample_rows_route_to_valid_pid(self):
         S = sample_syms(2)
         tree = build_sigtree(S, alpha=1.0, capacity=60)
-        for s in S:
-            assert 0 <= tree.route(s) < tree.n_partitions
+        for pid in tree.pids(S):
+            assert 0 <= pid < tree.n_partitions
 
     def test_unseen_word_nearest_sibling(self):
         S = sample_syms(3, n=100)
         tree = build_sigtree(S, alpha=1.0, capacity=30)
         # an extreme word unlikely to be in the sample still routes somewhere
         weird = np.full(8, 255, dtype=np.uint16)
-        assert 0 <= tree.route(weird) < tree.n_partitions
+        assert 0 <= tree.pids(weird[None, :])[0] < tree.n_partitions
 
     def test_depth_bounded(self):
         tree = build_sigtree(sample_syms(4, n=2000), alpha=1.0, capacity=5)
@@ -56,8 +56,46 @@ class TestSigTree:
     def test_deterministic(self):
         S = sample_syms(6)
         a, b = build_sigtree(S, alpha=1.0, capacity=50), build_sigtree(S, alpha=1.0, capacity=50)
-        for s in S[:50]:
-            assert a.route(s) == b.route(s)
+        for pa, pb in zip(a.pids(S[:50]), b.pids(S[:50])):
+            assert pa == pb
+
+
+def reference_pid(tree, row, fallbacks):
+    """Per-row sigTree descent: the child keyed by the row's word, else the
+    sibling nearest in L1, ties to the smaller word."""
+    node = tree.root
+    while not node.is_leaf:
+        key = tuple(int(s) >> (MAX_BITS - node.bits - 1) for s in row)
+        child = node.children.get(key)
+        if child is None:
+            fallbacks.append(key)
+            child = min(node.children.values(),
+                        key=lambda c: (sum(abs(a - b) for a, b in zip(c.word, key)), c.word))
+        node = child
+    return node.pid
+
+
+def depth(node):
+    return 0 if node.is_leaf else 1 + max(depth(c) for c in node.children.values())
+
+
+class TestBatchRouter:
+    @pytest.mark.parametrize("seed,w,alpha,capacity", [
+        (10, 4, 1.0, 3), (11, 8, 0.25, 3), (12, 8, 1.0, 5), (13, 16, 0.25, 3), (14, 16, 0.5, 1),
+    ])
+    def test_pids_equal_per_row_descent(self, seed, w, alpha, capacity):
+        """`SigTree.pids` over a batch equals a per-row dict-then-nearest-sibling
+        descent, on trees at least two levels deep, for sample rows and
+        random (mostly unseen) words."""
+        S = sample_syms(seed, n=800, w=w)
+        tree = build_sigtree(S, alpha=alpha, capacity=capacity)
+        assert depth(tree.root) >= 2
+        rng = np.random.default_rng(seed)
+        probe = np.vstack([S, rng.integers(0, 256, size=(500, w)).astype(np.uint16)])
+        fallbacks = []
+        expected = [reference_pid(tree, row, fallbacks) for row in probe]
+        assert fallbacks, "no probe word took the nearest-sibling path"
+        assert tree.pids(probe).tolist() == expected
 
 
 class TestSparkIndex:
