@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict
@@ -58,7 +57,6 @@ class BaselineIndex:
     w: int
     router: object  # picklable structure with .pids(symbols (B × w)) -> (B,) int64
     pid_counts: Dict[int, int] = field(default_factory=dict)
-    build_s: float = 0.0
     n_series: int = 0
 
     @property
@@ -94,7 +92,6 @@ def build_baseline(
     seed: int = 7,
 ) -> BaselineIndex:
     """Common build driver: sample → router → redistribute → stats."""
-    t0 = time.perf_counter()
     P = sample_paa(series_df, partial(isax_paa, w=w), alpha, seed)
     if not len(P):
         raise ValueError("empty sample; raise alpha")
@@ -103,5 +100,4 @@ def build_baseline(
                      index.data_path)
     (pid,) = stored_columns(index.data_path, "pid")
     index.pid_counts, index.n_series = occupancy(pid), len(pid)
-    index.build_s = time.perf_counter() - t0
     return index

@@ -204,10 +204,16 @@ def run_eval(
     k: int = DEFAULT_K,
     n_queries: int = DEFAULT_QUERIES,
 ) -> List[Dict]:
-    """:func:`eval_distributed` at each ``(dataset, gb)`` point."""
+    """:func:`eval_distributed` at each ``(dataset, gb)`` point, after one
+    unmeasured CLIMBER build and query batch at the first: the session's
+    first Spark Python tasks start the workers and import the kernels, which
+    would otherwise be charged to the first point's measured build."""
     rows: List[Dict] = []
-    for ds, gb in points:
+    for i, (ds, gb) in enumerate(points):
         with _instance(spark, ds, gb, n_queries) as (df, queries):
+            if i == 0:
+                with built(spark, "CLIMBER", df, workdir, DEFAULT_PARAMS) as (idx, _):
+                    idx.knn_batch(spark, queries, k, variant=DEFAULT_VARIANT)
             rows += [dict(dataset=ds, gb=gb, n=GB_TO_N[gb], k=k, **r)
                      for r in eval_distributed(spark, df, queries, k, workdir)]
     return rows

@@ -87,9 +87,6 @@ class TestSparkIndex:
         assert dpisax_index.n_series == N_SMALL
         assert sum(dpisax_index.pid_counts.values()) == N_SMALL
 
-    def test_build_time_recorded(self, dpisax_index):
-        assert dpisax_index.build_s > 0
-
     def test_global_index_is_small(self, dpisax_index):
         assert 0 < dpisax_index.global_index_size_bytes() < 500_000
 

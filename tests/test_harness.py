@@ -1,6 +1,7 @@
 """Experiment-harness tests: table rendering, scale mapping, mini runs."""
 import ast
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,35 @@ class TestMiniEval:
                 assert r["build_s"] > 0 and r["index_bytes"] > 0
                 assert r["partitions"] >= 1 and r["rows_scanned"] >= 1
         assert os.listdir(tmp_path / "mini") == []  # every index directory is removed
+
+
+class TestWarmUp:
+    def test_one_unmeasured_build_and_batch_per_call(self, spark, tmp_path, monkeypatch):
+        """`run_eval` builds and queries CLIMBER once, unmeasured, before the
+        first point's measured builds, and not again at later points."""
+        events = []
+
+        class Index:
+            def knn_batch(self, spark, queries, k, variant):
+                events.append(("query", len(queries), k, variant))
+
+        @contextmanager
+        def built(spark, system, df, workdir, params):
+            events.append(("build", system))
+            yield Index(), 0.0
+
+        def eval_distributed(spark, df, queries, k, workdir):
+            events.append(("eval",))
+            return []
+
+        monkeypatch.setattr(experiments, "built", built)
+        monkeypatch.setattr(experiments, "eval_distributed", eval_distributed)
+        for gb in (200, 400):
+            monkeypatch.setitem(GB_TO_N, gb, 600)
+        experiments.run_eval(spark, str(tmp_path), [("randomwalk", 200), ("randomwalk", 400)],
+                             k=5, n_queries=2)
+        assert events == [("build", "CLIMBER"), ("query", 2, 5, experiments.DEFAULT_VARIANT),
+                          ("eval",), ("eval",)]
 
 
 def _printed_columns(job: str):

@@ -121,6 +121,5 @@ class TestSparkIndex:
         res, _ = tardis_index.knn_batch(spark, Q, K_SMALL)
         assert 0.0 <= recall_batch(res, ground_truth) <= 1.0
 
-    def test_build_time_and_index_size(self, tardis_index):
-        assert tardis_index.build_s > 0
+    def test_global_index_is_small(self, tardis_index):
         assert 0 < tardis_index.global_index_size_bytes() < 2_000_000
