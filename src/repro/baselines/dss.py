@@ -1,8 +1,9 @@
 """Dss — Distributed Sequential Scan (paper §VII-A).
 
-The vanilla full-scan baseline: CLIMBER's own kNN operator (`core.query`)
-over the unindexed rows, all under one literal ``pid`` that every query's
-plan scans in full. Dss produces the *exact* answer set — independent of
+The vanilla full-scan baseline: CLIMBER's own kNN kernel
+(`core.query.scan_batch`), through its DataFrame front end (``_scan``; Dss
+has rows but no stored files), over the unindexed rows, all under one
+literal ``pid`` that every query's plan scans in full. Dss produces the *exact* answer set — independent of
 how the rows are partitioned — and is therefore also the ground truth
 against which every approximate system's recall (Def. 4) is measured.
 """

@@ -15,12 +15,15 @@ variant's rule from :data:`VARIANTS`:
   minimum OD.
 
 Scanning (executor side): :func:`knn_scan` is the custom kNN operator —
-one job; planned directories under the stored schema. It reads the ``pid=``
-directories of the planned pids that hold rows (the index's ``pid_counts``)
-with the index's ``SCHEMA`` and ``basePath``, so a call neither discovers
-partitions nor infers a schema: the scan is its one Spark job. The
-queries and the plans, inverted into a ``pid → queries`` map
-(:func:`plans_by_pid`), are broadcast; a ``mapInArrow`` kernel runs
+one job; the executors read the planned files themselves. On the driver,
+:func:`scan_bins` lists the parquet files of the planned pids that hold
+rows (the index's ``pid_counts``; one ``os.listdir`` per ``pid=``
+directory) and packs them by stored rows into at most
+``defaultParallelism`` bins. The queries, the plans inverted into a
+``pid → queries`` map (:func:`plans_by_pid`), the bins and the column list
+are broadcast, and one ``mapInArrow`` job over ``spark.range(#bins)`` has
+each task read its bin with pyarrow (:func:`read_files`: one row group at a
+time, every page's CRC verified, the file's ``pid`` appended) and run
 :func:`scan_batch` on each Arrow batch: decode the series once (the stored
 ``binary`` of n float64 readings, by `paa.series_matrix`), group the rows by
 ``pid``, and make one multi-query `distances.topk` per pid for the
@@ -29,7 +32,8 @@ trie-node filter (§VI "Localized Record-Level Similarity"): the rows whose
 ``node`` ordinal lies in the target node's range ``[ord, end)``; ``node`` is
 read only then. The driver merges the partials by ``(dist, id)``
 (`distances.merge_topk`), so no answer depends on how the rows are split.
-Dss (`baselines.dss`) is the same operator. :func:`timed_knn` routes and
+Dss (`baselines.dss`), which has rows but no stored files, runs the same
+`scan_batch` over a DataFrame (``_scan``). :func:`timed_knn` routes and
 scans a batch under one clock.
 """
 from __future__ import annotations
@@ -38,11 +42,12 @@ import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 
 from .assignment import FALLBACK_GID, candidates
@@ -230,35 +235,66 @@ def _query_matrix(queries: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _scan(rows: DataFrame, plans: Dict[int, QueryPlan], queries: np.ndarray, k: int):
-    """The distributed kNN operator: one ``mapInArrow`` job of `scan_batch`
-    over ``rows`` (``id, series, pid[, node]``), then one `merge_topk`."""
-    Q = _query_matrix(queries)
+PARTIALS = "qid long, nid long, dist double"  # the schema of `scan_batch`'s output
+
+
+def _operator(plans: Dict[int, QueryPlan], queries: np.ndarray, k: int):
+    """The operator's broadcast ``(Q, pid → queries, k)`` and the stored
+    columns it reads: ``id, series``, plus ``node`` when some plan keeps
+    the trie-node filter."""
     by_pid = plans_by_pid(plans)
     filtered = any(pre is not None for entries in by_pid.values() for _, pre in entries)
-    cols = ["id", "series", "pid"] + (["node"] if filtered else [])
-    bc = rows.sparkSession.sparkContext.broadcast((Q, by_pid, int(k)))
+    return (_query_matrix(queries), by_pid, int(k)), ["id", "series"] + (["node"] if filtered else [])
 
-    def gen(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
-        return (scan_batch(batch, *bc.value) for batch in batches)
 
-    partials = rows.select(*cols).mapInArrow(gen, "qid long, nid long, dist double").toPandas()
+def _merged(partials, plans: Dict[int, QueryPlan], k: int) -> Dict[int, List[Tuple[int, float]]]:
     merged = merge_topk(partials["qid"], partials["nid"], partials["dist"], k)
     return {q: merged.get(q, []) for q in plans}
 
 
-def _planned_rows(spark: SparkSession, index, pids) -> DataFrame:
-    """The stored rows of the planned ``pids`` that hold rows (by
-    ``index.pid_counts``), read from their ``pid=`` directories under the
-    index's stored ``SCHEMA``: no partition discovery, no footer read. The
-    directories go to Spark in reads of at most its parallel-listing
-    threshold, so listing them runs on the driver, not as a job."""
-    dirs = [os.path.join(index.data_path, f"pid={p}") for p in sorted(pids) if index.pid_counts.get(p)]
-    if not dirs:
-        return spark.createDataFrame([], index.SCHEMA)
-    reader = spark.read.schema(index.SCHEMA).option("basePath", index.data_path)
-    step = int(spark.conf.get("spark.sql.sources.parallelPartitionDiscovery.threshold"))
-    return reduce(DataFrame.union, [reader.parquet(*dirs[i:i + step]) for i in range(0, len(dirs), step)])
+def _scan(rows: DataFrame, plans: Dict[int, QueryPlan], queries: np.ndarray, k: int):
+    """The operator over a DataFrame ``rows`` (``id, series, pid[, node]``):
+    one ``mapInArrow`` job of `scan_batch`, then one `merge_topk`. Dss's
+    front end, which has rows but no stored files."""
+    args, cols = _operator(plans, queries, k)
+    bc = rows.sparkSession.sparkContext.broadcast(args)
+
+    def gen(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        return (scan_batch(batch, *bc.value) for batch in batches)
+
+    return _merged(rows.select(*cols, "pid").mapInArrow(gen, PARTIALS).toPandas(), plans, k)
+
+
+def scan_bins(index, pids: Iterable[int], n_bins: int) -> List[List[Tuple[str, int]]]:
+    """The stored files of the planned ``pids`` that hold rows (by
+    ``index.pid_counts``; names starting with ``.`` or ``_`` skipped, as
+    Hadoop does), as ``(path, pid)``, packed into ``min(#files, n_bins)``
+    bins by stored rows: largest first, ties by pid, each to the lightest
+    bin (the lowest-numbered among equals). A pid's rows are split evenly
+    over its files."""
+    files = []
+    for p in sorted({int(p) for p in pids if index.pid_counts.get(p)}):
+        d = os.path.join(index.data_path, f"pid={p}")
+        names = sorted(f for f in os.listdir(d) if not f.startswith((".", "_")))
+        files += [(index.pid_counts[p] / len(names), p, os.path.join(d, f)) for f in names]
+    files.sort(key=lambda f: (-f[0], f[1], f[2]))
+    bins = [[] for _ in range(min(len(files), n_bins))]
+    load = [0.0] * len(bins)
+    for rows, p, path in files:
+        b = load.index(min(load))
+        bins[b].append((path, p))
+        load[b] += rows
+    return bins
+
+
+def read_files(files: Iterable[Tuple[str, int]], columns: List[str]) -> Iterator[pa.RecordBatch]:
+    """The ``columns`` of stored files ``(path, pid)``, one Arrow batch per
+    row group or less, each with its file's constant ``pid`` appended. Every
+    page's CRC is verified, so a corrupted file raises."""
+    for path, p in files:
+        with pq.ParquetFile(path, page_checksum_verification=True) as f:
+            for batch in f.iter_batches(columns=columns):
+                yield batch.append_column("pid", pa.array(np.full(batch.num_rows, p, dtype=np.int64)))
 
 
 def knn_scan(
@@ -269,13 +305,28 @@ def knn_scan(
     k: int,
 ) -> Dict[int, List[Tuple[int, float]]]:
     """Execute a batch of planned kNN scans over ``index`` (a `ClimberIndex`
-    or `BaselineIndex`) in a single Spark job.
+    or `BaselineIndex`) in a single Spark job, or none when no planned pid
+    holds rows.
 
     ``plans[qid]`` indexes row ``qid`` of ``queries`` (Q × n). Returns
     ``qid → [(series id, ED distance)]`` sorted ascending, length ≤ k.
     """
-    pids = {int(p) for pl in plans.values() for p in pl.pids}
-    return _scan(_planned_rows(spark, index, pids), plans, queries, k)
+    args, cols = _operator(plans, queries, k)
+    sc = spark.sparkContext
+    bins = scan_bins(index, {p for pl in plans.values() for p in pl.pids}, sc.defaultParallelism)
+    if not bins:
+        return {q: [] for q in plans}
+    bc = sc.broadcast((args, bins, cols))
+
+    def gen(tasks: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        args, bins, cols = bc.value  # from the broadcast: the closure holds only `bc`
+        for task in tasks:
+            for b in task.column("id").to_pylist():
+                for batch in read_files(bins[b], cols):
+                    yield scan_batch(batch, *args)
+
+    partials = spark.range(len(bins), numPartitions=len(bins)).mapInArrow(gen, PARTIALS).toPandas()
+    return _merged(partials, plans, k)
 
 
 @dataclass

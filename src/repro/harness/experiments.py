@@ -10,7 +10,8 @@ the batch (paper: 50 queries; default 10 here, configurable).
 
 Every runner measures through two helpers: :func:`built` builds one
 distributed index under one wall clock, and :func:`query_row` measures
-one query batch (time, recall against Dss, data touched). Each runner
+one query batch (time, recall against Dss, data touched); each first calls
+:func:`warm_up`, one unmeasured build and query batch. Each runner
 returns a list of row dicts and is wrapped by a ``jobs/<name>.py``
 entrypoint; the row schema is stable so EXPERIMENTS.md can cite paper
 vs. measured values column by column.
@@ -155,6 +156,15 @@ def _instance(spark: SparkSession, dataset: str, gb: int, n_queries: int):
         df.unpersist()
 
 
+def warm_up(spark: SparkSession, df: DataFrame, queries: np.ndarray, k: int, workdir: str) -> None:
+    """One unmeasured CLIMBER build and query batch: the session's first
+    Spark Python tasks start the workers and import the kernels, which
+    would otherwise be charged to a runner's first measured build and query.
+    Every runner calls it once, on its first dataset instance."""
+    with built(spark, "CLIMBER", df, workdir, DEFAULT_PARAMS) as (idx, _):
+        idx.knn_batch(spark, queries, k, variant=DEFAULT_VARIANT)
+
+
 # ---------------------------------------------------------------------------
 # Core evaluation unit: one dataset instance, all distributed systems
 # ---------------------------------------------------------------------------
@@ -204,16 +214,13 @@ def run_eval(
     k: int = DEFAULT_K,
     n_queries: int = DEFAULT_QUERIES,
 ) -> List[Dict]:
-    """:func:`eval_distributed` at each ``(dataset, gb)`` point, after one
-    unmeasured CLIMBER build and query batch at the first: the session's
-    first Spark Python tasks start the workers and import the kernels, which
-    would otherwise be charged to the first point's measured build."""
+    """:func:`eval_distributed` at each ``(dataset, gb)`` point, after
+    :func:`warm_up` at the first."""
     rows: List[Dict] = []
     for i, (ds, gb) in enumerate(points):
         with _instance(spark, ds, gb, n_queries) as (df, queries):
             if i == 0:
-                with built(spark, "CLIMBER", df, workdir, DEFAULT_PARAMS) as (idx, _):
-                    idx.knn_batch(spark, queries, k, variant=DEFAULT_VARIANT)
+                warm_up(spark, df, queries, k, workdir)
             rows += [dict(dataset=ds, gb=gb, n=GB_TO_N[gb], k=k, **r)
                      for r in eval_distributed(spark, df, queries, k, workdir)]
     return rows
@@ -233,10 +240,11 @@ def run_k_sweep(
     n_queries: int = DEFAULT_QUERIES,
 ) -> List[Dict]:
     """Every system built once on RandomWalk; each queried at every K."""
-    with _instance(spark, "randomwalk", gb, n_queries) as (df, queries), \
-            _built_systems(spark, df, workdir) as systems:
-        return [dict(k=k, **r) for k in ks
-                for r in _query_systems(spark, df, systems, queries, k, CLIMBER_VARIANTS)]
+    with _instance(spark, "randomwalk", gb, n_queries) as (df, queries):
+        warm_up(spark, df, queries, ks[0], workdir)
+        with _built_systems(spark, df, workdir) as systems:
+            return [dict(k=k, **r) for k in ks
+                    for r in _query_systems(spark, df, systems, queries, k, CLIMBER_VARIANTS)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +271,10 @@ def run_param_sweep(
     """
     field = SWEEPS[param]
     rows: List[Dict] = []
-    for ds, gb in points:
+    for i, (ds, gb) in enumerate(points):
         with _instance(spark, ds, gb, n_queries) as (df, queries):
+            if i == 0:
+                warm_up(spark, df, queries, k, workdir)
             gt, _ = timed_dss_knn(df, queries, k)
             point: List[Dict] = []
             for v in values:
@@ -305,24 +315,25 @@ def run_adaptive_eval(spark: SparkSession, workdir: str, *, n_queries: int = 6) 
     improvement of the adaptive variants over CLIMBER-kNN (bubble = the
     absolute CLIMBER-kNN recall).
     """
-    with _instance(spark, "randomwalk", SWEEP_GB, n_queries) as (df, queries), \
-            built(spark, "CLIMBER", df, workdir, DEFAULT_PARAMS) as (idx, _):
-        node_caps = [max(1, int(p.node_count))
-                     for p in route(idx.skeleton, queries, 1, "knn", range(len(queries)))]
-        rows: List[Dict] = []
-        for ratio in ADAPTIVE_RATIOS:
-            recalls = {v: [] for v in CLIMBER_VARIANTS}
-            for cap, q in zip(node_caps, queries):
-                k = max(1, ratio * cap)
-                gt, _ = timed_dss_knn(df, q[None, :], k)
+    with _instance(spark, "randomwalk", SWEEP_GB, n_queries) as (df, queries):
+        warm_up(spark, df, queries, DEFAULT_K, workdir)
+        with built(spark, "CLIMBER", df, workdir, DEFAULT_PARAMS) as (idx, _):
+            node_caps = [max(1, int(p.node_count))
+                         for p in route(idx.skeleton, queries, 1, "knn", range(len(queries)))]
+            rows: List[Dict] = []
+            for ratio in ADAPTIVE_RATIOS:
+                recalls = {v: [] for v in CLIMBER_VARIANTS}
+                for cap, q in zip(node_caps, queries):
+                    k = max(1, ratio * cap)
+                    gt, _ = timed_dss_knn(df, q[None, :], k)
+                    for variant, vals in recalls.items():
+                        vals.append(query_row(spark, idx, q[None, :], k, gt, variant)["recall"])
+                base = float(np.mean(recalls["knn"]))
                 for variant, vals in recalls.items():
-                    vals.append(query_row(spark, idx, q[None, :], k, gt, variant)["recall"])
-            base = float(np.mean(recalls["knn"]))
-            for variant, vals in recalls.items():
-                rows.append(dict(ratio=ratio, system=f"CLIMBER-{variant}",
-                                 recall=float(np.mean(vals)),
-                                 improvement_pct=100.0 * (float(np.mean(vals)) - base)))
-        return rows
+                    rows.append(dict(ratio=ratio, system=f"CLIMBER-{variant}",
+                                     recall=float(np.mean(vals)),
+                                     improvement_pct=100.0 * (float(np.mean(vals)) - base)))
+            return rows
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +348,19 @@ def run_od_smallest_eval(
     k: int = DEFAULT_K,
     n_queries: int = DEFAULT_QUERIES,
 ) -> List[Dict]:
-    with _instance(spark, "randomwalk", SWEEP_GB, n_queries) as (df, queries), \
-            built(spark, "CLIMBER", df, workdir, DEFAULT_PARAMS) as (idx, _):
-        gt, _ = timed_dss_knn(df, queries, k)
-        od = query_row(spark, idx, queries, k, gt, "od-smallest")
-        rows: List[Dict] = []
-        for variant in CLIMBER_VARIANTS:
-            r = query_row(spark, idx, queries, k, gt, variant)
-            rows.append(dict(system=f"CLIMBER-{variant}", **r,
-                             od_data_ratio=od["rows_scanned"] / max(1.0, r["rows_scanned"]),
-                             od_recall_ratio=od["recall"] / max(1e-9, r["recall"])))
-        rows.append(dict(system="OD-Smallest", **od, od_data_ratio=1.0, od_recall_ratio=1.0))
-        return rows
+    with _instance(spark, "randomwalk", SWEEP_GB, n_queries) as (df, queries):
+        warm_up(spark, df, queries, k, workdir)
+        with built(spark, "CLIMBER", df, workdir, DEFAULT_PARAMS) as (idx, _):
+            gt, _ = timed_dss_knn(df, queries, k)
+            od = query_row(spark, idx, queries, k, gt, "od-smallest")
+            rows: List[Dict] = []
+            for variant in CLIMBER_VARIANTS:
+                r = query_row(spark, idx, queries, k, gt, variant)
+                rows.append(dict(system=f"CLIMBER-{variant}", **r,
+                                 od_data_ratio=od["rows_scanned"] / max(1.0, r["rows_scanned"]),
+                                 od_recall_ratio=od["recall"] / max(1e-9, r["recall"])))
+            rows.append(dict(system="OD-Smallest", **od, od_data_ratio=1.0, od_recall_ratio=1.0))
+            return rows
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +377,10 @@ def run_table1(
     n_queries: int = DEFAULT_QUERIES,
 ) -> List[Dict]:
     rows: List[Dict] = []
-    for gb in gbs:
+    for i, gb in enumerate(gbs):
         with _instance(spark, "randomwalk", gb, n_queries) as (df, queries):
+            if i == 0:
+                warm_up(spark, df, queries, k, workdir)
             gt, _ = timed_dss_knn(df, queries, k)
 
             # CLIMBER (default variant adaptive-4x, as in the paper)

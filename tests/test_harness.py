@@ -3,10 +3,12 @@ import ast
 import os
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core.query import QueryPlan
 from repro.harness import experiments
 from repro.harness.experiments import (
     GB_TO_N,
@@ -15,6 +17,7 @@ from repro.harness.experiments import (
     pick_queries,
 )
 from repro.harness.tables import render_table
+from repro.memsys.odyssey import CapacityExceeded
 
 JOBS = Path(__file__).resolve().parents[1] / "jobs"
 
@@ -117,6 +120,69 @@ class TestWarmUp:
                              k=5, n_queries=2)
         assert events == [("build", "CLIMBER"), ("query", 2, 5, experiments.DEFAULT_VARIANT),
                           ("eval",), ("eval",)]
+
+    # The other runners (run_eval: above), at two points (or two K) where
+    # they take several: (call, warm-up K).
+    RUNNERS = {
+        "run_k_sweep": (lambda wd: experiments.run_k_sweep(None, wd, ks=(5, 7), n_queries=2), 5),
+        "run_param_sweep": (lambda wd: experiments.run_param_sweep(
+            None, wd, "pivots", [16, 64], [("randomwalk", 200), ("randomwalk", 400)],
+            k=5, n_queries=2), 5),
+        "run_adaptive_eval": (lambda wd: experiments.run_adaptive_eval(None, wd, n_queries=2),
+                              experiments.DEFAULT_K),
+        "run_od_smallest_eval": (lambda wd: experiments.run_od_smallest_eval(
+            None, wd, k=5, n_queries=2), 5),
+        "run_table1": (lambda wd: experiments.run_table1(None, wd, gbs=(200, 400), k=5,
+                                                         n_queries=2), 5),
+    }
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_every_runner_warms_up_first(self, runner, tmp_path, monkeypatch):
+        """Every other paper runner also builds and queries CLIMBER once,
+        unmeasured, on its first dataset instance, before anything it
+        measures."""
+        events = []
+
+        class Index:
+            report = SimpleNamespace(sample_s=0.0, skeleton_s=0.0, redistribute_s=0.0, stats_s=0.0)
+            skeleton = None
+
+            def knn_batch(self, spark, queries, k, variant):
+                events.append(("query", len(queries), k, variant))
+
+            def global_index_size_bytes(self):
+                return 1
+
+        @contextmanager
+        def instance(spark, dataset, gb, n_queries):
+            events.append(("instance", gb))
+            yield None, np.zeros((n_queries, 4))
+
+        @contextmanager
+        def built(spark, system, df, workdir, params):
+            events.append(("build", system))
+            yield Index(), 1.0
+
+        def query_row(spark, index, queries, k, gt, variant):
+            events.append(("measure",))
+            return dict(query_s=1.0, recall=1.0, partitions=1.0, rows_scanned=1.0)
+
+        def collect_matrix(df):
+            raise CapacityExceeded("stub")
+
+        def route(sk, queries, k, variant, qids):
+            return [QueryPlan(pids=(0,), node_count=1.0) for _ in qids]
+
+        for name, stub in dict(_instance=instance, built=built, query_row=query_row,
+                               collect_matrix=collect_matrix, route=route,
+                               timed_dss_knn=lambda df, queries, k: ({}, 0.0)).items():
+            monkeypatch.setattr(experiments, name, stub)
+        call, k = self.RUNNERS[runner]
+        call(str(tmp_path))
+        assert events[0][0] == "instance"
+        assert events[1:3] == [("build", "CLIMBER"), ("query", 2, k, experiments.DEFAULT_VARIANT)]
+        assert [e for e in events if e[0] == "query"] == [events[2]]
+        assert ("measure",) in events[3:]
 
 
 def _printed_columns(job: str):
