@@ -10,10 +10,11 @@ same build substrate:
    series); its iSAX words (`isax.isax_symbols` at MAX_BITS) are collected,
 2. a global partitioning structure (the *router*) built from those words,
    whose one call ``router.pids(symbols)`` maps a (B × w) batch to pids,
-3. full-data redistribution through CLIMBER's build kernel
-   (`paa.map_series`) and writer (`index.write_partitions`): each series'
-   ``pid`` comes from :meth:`BaselineIndex.pids`, its stored row is in
-   ``BaselineIndex.SCHEMA``,
+3. full-data redistribution through CLIMBER's writer
+   (`index.write_partitions`: assign + spill, then gather + write, with
+   CLIMBER's build kernel body `paa.map_batch`): each series' ``pid`` comes
+   from :meth:`BaselineIndex.pids`, its stored row is in
+   ``BaselineIndex.SCHEMA``, and each partition's file is sorted by ``id``,
 4. query: :meth:`BaselineIndex.pids` routes each query to a single
    partition, scanned with the same distributed kNN operator CLIMBER uses
    (full-partition plans).
@@ -36,7 +37,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.index import occupancy, stored_columns, write_partitions
-from ..core.paa import map_series, paa_np, sample_paa, znorm_np
+from ..core.paa import paa_np, sample_paa, znorm_np
 from ..core.query import QueryPlan, _query_matrix, timed_knn
 from .isax import isax_symbols
 
@@ -96,8 +97,7 @@ def build_baseline(
     if not len(P):
         raise ValueError("empty sample; raise alpha")
     index = BaselineIndex(out_dir=out_dir, w=w, router=make_router(isax_symbols(P), alpha))
-    write_partitions(map_series(series_df, lambda ids, X: {"pid": index.pids(X)}, index.SCHEMA),
-                     index.data_path)
+    write_partitions(series_df, lambda ids, X: {"pid": index.pids(X)}, index.SCHEMA, index.data_path)
     (pid,) = stored_columns(index.data_path, "pid")
     index.pid_counts, index.n_series = occupancy(pid), len(pid)
     return index

@@ -10,19 +10,22 @@ Step 1  sample → PAA → random pivots → rank-sensitive signatures. The
 Step 2  Algorithm 2 on the rank-insensitive frequency list → centroids.
 Step 3  Algorithm 1 assignment of the sample, per-group tries, FFD packing
         → the index *skeleton* (driver-side, tiny).
-Step 4  full-dataset redistribution: the skeleton (pivots included) ships to
-        executors inside the closure of the build's one kernel
-        (`paa.map_series`, the paper's broadcast), whose batch function
-        `Skeleton.assign_rows` maps each ``(id, series)`` straight to
-        ``(gid, node, pid)`` (``node`` is the landing trie node's ordinal);
-        the kernel passes ``id`` through and re-emits the decoded series as
-        one fixed-width ``binary`` value per row (`paa.series_binary`), in
-        ``ClimberIndex.SCHEMA``. :func:`write_partitions` — the one writer,
-        which the iSAX baselines use too — shuffles by ``pid``, sorts each
-        partition by ``(pid, node)`` so each subtree's records are
-        contiguous (the paper's in-partition layout), and writes one ``pid=``
-        directory per physical partition. Only ``id``, ``series``, ``gid``,
-        ``node`` and the ``pid`` directory are stored.
+Step 4  full-dataset redistribution (:func:`write_partitions`, the one
+        writer, which the iSAX baselines use too), an exchange through the
+        filesystem in two Spark jobs. Job 1 (assign + spill) runs the
+        build kernel's body (`paa.map_batch`) on each Arrow batch; the
+        skeleton (pivots included) ships to executors inside the closure of
+        its batch function (the paper's broadcast), `Skeleton.assign_rows`,
+        which maps each ``(id, series)`` straight to ``(gid, node, pid)``
+        (``node`` is the landing trie node's ordinal); the kernel passes
+        ``id`` through and re-emits the decoded series as one fixed-width
+        ``binary`` value per row (`paa.series_binary`), in
+        ``ClimberIndex.SCHEMA``, and :func:`spill_batch` writes each pid's
+        rows to one Arrow IPC file. Job 2 (gather + write) has
+        :func:`write_pid` sort each pid's spilled rows by ``(node, id)``, so
+        each subtree's records are contiguous (the paper's in-partition
+        layout), and write them as the pid's one parquet file. Only ``id``,
+        ``series``, ``gid``, ``node`` and the ``pid`` directory are stored.
 
 After the write, the driver reads back the ``pid`` and ``node`` columns
 (:func:`stored_columns`, no Spark job) for exact partition occupancies and
@@ -33,15 +36,21 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+from pyspark import TaskContext
 from pyspark.sql import DataFrame, SparkSession
 
-from .paa import map_series, paa_np, sample_paa
+from .packing import lpt_pack
+from .paa import _arrow, map_batch, paa_np, sample_paa, series_matrix
 from .pivots import select_pivots, signatures_np
 from .query import QueryPlan, route, timed_knn
 from .skeleton import Skeleton, build_skeleton
@@ -172,18 +181,113 @@ def occupancy(pid: np.ndarray) -> Dict[int, int]:
     return {p: c for p, c in enumerate(np.bincount(pid).tolist()) if c}
 
 
-def write_partitions(rows: DataFrame, data_path: str, *order: str) -> None:
-    """Step 4's shuffle and write, for every index: ``repartition(pid)``, sort
-    each partition by ``pid`` and then ``order``, and write one ``pid=``
-    directory of parquet per physical partition. ``rows`` are in the index's
-    stored schema; ``pid`` becomes the directory."""
-    (
-        rows.repartition("pid")
-        .sortWithinPartitions("pid", *order)
-        .write.mode("overwrite")
-        .partitionBy("pid")
-        .parquet(data_path)
-    )
+def _publish(path: str, write: Callable[[str], None]) -> None:
+    """Make ``path`` appear whole: ``write`` a hidden temp name in its
+    directory, then ``os.replace`` it into place, so a retried task replaces
+    its own file and a reader never sees a partial one."""
+    d, name = os.path.split(path)
+    os.makedirs(d, exist_ok=True)
+    tmp = os.path.join(d, f".{name}.{os.getpid()}.tmp")
+    write(tmp)
+    os.replace(tmp, path)
+
+
+def _columns(batch: pa.RecordBatch) -> Dict[str, np.ndarray]:
+    """A stored-schema batch's columns as numpy views, ``series`` as its
+    (rows × n) matrix."""
+    return {c: series_matrix(col) if c == "series" else col.to_numpy()
+            for c, col in zip(batch.schema.names, batch.columns)}
+
+
+def _batch(cols: Dict[str, np.ndarray], rows: np.ndarray) -> pa.RecordBatch:
+    """Rows ``rows`` of numpy columns, back in the stored schema. The rows
+    are gathered with numpy, not Arrow's ``take``: on the benchmark's build,
+    a Python worker that sorted and took through Arrow's compute kernels
+    peaked 4–6 MB higher."""
+    return pa.RecordBatch.from_arrays([_arrow(v[rows]) for v in cols.values()], names=list(cols))
+
+
+def spill_batch(batch: pa.RecordBatch, spill_dir: str, name: str) -> Dict[int, int]:
+    """Step 4's spill, on one batch in an index's stored schema: each pid's
+    rows (``pid`` dropped: it is the directory) become one Arrow IPC file,
+    ``<spill_dir>/pid=P/<name>.arrow``. Returns ``pid → rows``."""
+    cols = _columns(batch)
+    pid = cols.pop("pid")
+    order = np.argsort(pid, kind="stable")
+    pids, starts, counts = np.unique(pid[order], return_index=True, return_counts=True)
+
+    def write_ipc(part: pa.RecordBatch, path: str) -> None:
+        with pa.ipc.new_file(path, part.schema) as f:
+            f.write_batch(part)
+
+    for p, rows in zip(pids.tolist(), np.split(order, starts[1:])):
+        path = os.path.join(spill_dir, f"pid={p}", f"{name}.arrow")
+        _publish(path, partial(write_ipc, _batch(cols, rows)))
+    return dict(zip(pids.tolist(), counts.tolist()))
+
+
+def write_pid(spill_dir: str, data_path: str, pid: int, order: Tuple[str, ...]) -> None:
+    """Step 4's gather and write, for one pid: its spilled rows, sorted by
+    ``(*order, id)`` so the file's bytes do not depend on how the input was
+    split, become ``<data_path>/pid=P/part-00000.parquet``. Snappy, no
+    dictionary, a CRC on every page (`query.read_files` verifies them), and
+    min/max statistics on every column but ``series`` (on its 2 KB values
+    they would add about 1.7% to the stored bytes)."""
+    d = os.path.join(spill_dir, f"pid={pid}")
+    spills = sorted(f for f in os.listdir(d) if not f.startswith((".", "_")))
+    parts = [_columns(pa.ipc.open_file(pa.memory_map(os.path.join(d, f))).get_batch(0)) for f in spills]
+    cols = {c: np.concatenate([part[c] for part in parts]) for c in parts[0]}
+    t = _batch(cols, np.lexsort([cols[c] for c in reversed((*order, "id"))]))
+    stats = [c for c in t.schema.names if c != "series"]
+    _publish(os.path.join(data_path, f"pid={pid}", "part-00000.parquet"), partial(
+        pq.write_table, pa.Table.from_batches([t]), compression="snappy", use_dictionary=False,
+        write_page_checksum=True, write_statistics=stats))
+
+
+def write_partitions(series_df: DataFrame, fn: Callable, schema: str, data_path: str,
+                     *order: str) -> None:
+    """Step 4 for every index: ``(id, series)`` rows → one parquet file per
+    pid under ``data_path``, through the filesystem, in two Spark jobs.
+
+    Job 1 (assign + spill) runs `paa.map_batch` with the batch function
+    ``fn`` on each Arrow batch of ``series_df``, giving rows in the stored
+    ``schema``, and `spill_batch`es them to ``_spill/`` next to
+    ``data_path``, one file per (task, batch, pid); it returns each task's
+    ``pid → rows``. The driver packs the pids by rows into at most
+    ``defaultParallelism`` bins (`packing.lpt_pack`). Job 2 (gather + write)
+    runs one task per bin, which calls `write_pid` on each of its pids. The
+    old ``data_path`` is removed first and ``_spill`` last, also when a job
+    fails. The executors and the driver must share one POSIX filesystem."""
+    spark = series_df.sparkSession
+    spill_dir = os.path.join(os.path.dirname(data_path), "_spill")
+
+    def spill(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        task, rows = TaskContext.get().partitionId(), Counter()
+        for seq, batch in enumerate(batches):
+            if batch.num_rows:
+                rows.update(spill_batch(map_batch(batch, fn, schema), spill_dir, f"{task}-{seq}"))
+        yield pa.RecordBatch.from_arrays(
+            [pa.array(list(rows), pa.int64()), pa.array(list(rows.values()), pa.int64())],
+            names=["pid", "rows"])
+
+    shutil.rmtree(data_path, ignore_errors=True)
+    try:
+        counts = series_df.select("id", "series").mapInArrow(spill, "pid long, rows long").toPandas()
+        rows = counts.groupby("pid")["rows"].sum()
+        sc = spark.sparkContext
+        bins = lpt_pack(zip(rows.index.tolist(), rows.tolist()), sc.defaultParallelism)
+        bc = sc.broadcast(bins)
+
+        def gather(tasks: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+            for task in tasks:
+                for b in task.column("id").to_pylist():
+                    for p in bc.value[b]:
+                        write_pid(spill_dir, data_path, p, order)
+            return iter(())
+
+        spark.range(len(bins), numPartitions=len(bins)).mapInArrow(gather, "pid long").toPandas()
+    finally:
+        shutil.rmtree(spill_dir, ignore_errors=True)
 
 
 def build_index(
@@ -222,8 +326,7 @@ def build_index(
     # -- Step 4: full-data conversion + redistribution -----------------------
     t0 = time.perf_counter()
     data_path = os.path.join(out_dir, "data")
-    assigned = map_series(series_df, sk.assign_rows, ClimberIndex.SCHEMA)
-    write_partitions(assigned, data_path, "node")
+    write_partitions(series_df, sk.assign_rows, ClimberIndex.SCHEMA, data_path, "node")
     report.redistribute_s = time.perf_counter() - t0
 
     # -- exact stats: refine trie counts, record partition occupancy ---------

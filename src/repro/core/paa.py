@@ -14,12 +14,14 @@ each hold a series' n little-endian float64 readings, as
 :func:`series_binary` (the one encoder) builds it. Every executor kernel
 reads its series through it, so each rejects a non-finite reading.
 
-:func:`map_series` is the build's one executor kernel: per Arrow batch it
-decodes ``series`` once, applies the caller's batch function, and encodes
-every matrix-valued column it returns. Step 1's α-sample
-(:func:`sample_paa`: CLIMBER's PAA, the baselines' z-normalised PAA) and
-Step 4's assignment (CLIMBER's ``(gid, node, pid)``, the baselines' ``pid``)
-both run through it; the kNN scan (`query.scan_batch`) is the only other.
+:func:`map_batch` is the build kernel's body: per Arrow batch it decodes
+``series`` once, applies the caller's batch function, and encodes every
+matrix-valued column it returns. Step 1's α-sample (:func:`map_series`
+over :func:`sample_paa`: CLIMBER's PAA, the baselines' z-normalised PAA)
+and Step 4's assignment (CLIMBER's ``(gid, node, pid)``, the baselines'
+``pid``, in `index.write_partitions`'s spill tasks) both run through it;
+Step 4's gather (`index.write_pid`) and the kNN scan (`query.scan_batch`)
+are the only other executor task bodies.
 
 Every executor kernel imports this module, so it also installs
 :func:`_keep_zip_directories` in each Spark Python worker: a task no longer
@@ -201,24 +203,29 @@ def _arrow(col) -> pa.Array:
     return series_binary(col) if col.ndim == 2 else pa.array(col)
 
 
-def map_series(df: DataFrame, fn: Callable, schema: str) -> DataFrame:
-    """The build's one executor kernel: ``(id, series)`` rows → ``schema``.
-
-    For each Arrow batch it decodes ``series`` once (`series_matrix`) and
-    calls ``fn(ids, X)`` for a ``name → array`` dict. The output has the
-    columns ``schema`` names, in its order, taken from that dict or from
-    ``id`` (passed through) and ``series`` (the decoded matrix); every
-    matrix-valued column leaves as `series_binary`. Step 1's sample and
-    Step 4's assignment, of CLIMBER and of the iSAX baselines, run through it.
-    """
+def map_batch(batch: pa.RecordBatch, fn: Callable, schema: str) -> pa.RecordBatch:
+    """The build kernel's body, on one non-empty Arrow batch of ``(id,
+    series)`` rows: decode ``series`` once (`series_matrix`) and call
+    ``fn(ids, X)`` for a ``name → array`` dict. The output has the columns
+    ``schema`` names, in its order, taken from that dict or from ``id``
+    (passed through) and ``series`` (the decoded matrix); every
+    matrix-valued column leaves as `series_binary`."""
     names = [f.split()[0] for f in schema.split(",")]
+    ids, X = batch.column("id"), series_matrix(batch.column("series"))
+    cols = {"id": ids, "series": X, **fn(ids.to_numpy(), X)}
+    return pa.RecordBatch.from_arrays([_arrow(cols[c]) for c in names], names=names)
+
+
+def map_series(df: DataFrame, fn: Callable, schema: str) -> DataFrame:
+    """The build's one executor kernel: ``(id, series)`` rows → ``schema``,
+    one `map_batch` per non-empty Arrow batch. Step 1's sample, of CLIMBER
+    and of the iSAX baselines, runs through it; Step 4's exchange
+    (`index.write_partitions`) runs `map_batch` in its own tasks."""
 
     def gen(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         for batch in batches:
             if batch.num_rows:
-                ids, X = batch.column("id"), series_matrix(batch.column("series"))
-                cols = {"id": ids, "series": X, **fn(ids.to_numpy(), X)}
-                yield pa.RecordBatch.from_arrays([_arrow(cols[c]) for c in names], names=names)
+                yield map_batch(batch, fn, schema)
 
     return df.select("id", "series").mapInArrow(gen, schema=schema)
 

@@ -6,10 +6,15 @@ classic O(m log m) approximation with worst-case ratio 3/2 — and so do we.
 
 An item larger than the capacity (possible only for a max-depth leaf,
 since c is a soft constraint) gets a bin of its own.
+
+:func:`lpt_pack` is the other rule, for spreading work over a fixed number
+of Spark tasks: Step 4's pids over the gather-and-write tasks
+(`index.write_partitions`) and a kNN scan's files over its read tasks
+(`query.scan_bins`).
 """
 from __future__ import annotations
 
-from typing import Hashable, List, Sequence, Tuple
+from typing import Hashable, Iterable, List, Sequence, Tuple
 
 
 def ffd_pack(items: Sequence[Tuple[Hashable, float]], capacity: float) -> List[List[Hashable]]:
@@ -35,4 +40,19 @@ def ffd_pack(items: Sequence[Tuple[Hashable, float]], capacity: float) -> List[L
         else:
             bins.append([key])
             residual.append(max(capacity - size, 0.0))
+    return bins
+
+
+def lpt_pack(items: Iterable[Tuple[Hashable, float]], n_bins: int) -> List[List[Hashable]]:
+    """Spread ``(key, size)`` items over ``min(#items, n_bins)`` bins, largest
+    first (ties by key), each to the lightest bin (the lowest-numbered among
+    equals). Returns the bins, each a list of item keys. Deterministic for
+    any input order."""
+    ordered = sorted(items, key=lambda kv: (-kv[1], kv[0]))
+    bins: List[List[Hashable]] = [[] for _ in range(min(len(ordered), n_bins))]
+    load = [0.0] * len(bins)
+    for key, size in ordered:
+        b = load.index(min(load))
+        bins[b].append(key)
+        load[b] += size
     return bins

@@ -52,6 +52,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from .assignment import FALLBACK_GID, candidates
 from .distances import merge_topk, topk
+from .packing import lpt_pack
 from .paa import series_matrix
 from .skeleton import Skeleton
 from .trie import TrieNode, navigate
@@ -269,22 +270,14 @@ def scan_bins(index, pids: Iterable[int], n_bins: int) -> List[List[Tuple[str, i
     """The stored files of the planned ``pids`` that hold rows (by
     ``index.pid_counts``; names starting with ``.`` or ``_`` skipped, as
     Hadoop does), as ``(path, pid)``, packed into ``min(#files, n_bins)``
-    bins by stored rows: largest first, ties by pid, each to the lightest
-    bin (the lowest-numbered among equals). A pid's rows are split evenly
-    over its files."""
+    bins by stored rows (`packing.lpt_pack`, ties by pid). A pid's rows are
+    split evenly over its files."""
     files = []
     for p in sorted({int(p) for p in pids if index.pid_counts.get(p)}):
         d = os.path.join(index.data_path, f"pid={p}")
         names = sorted(f for f in os.listdir(d) if not f.startswith((".", "_")))
-        files += [(index.pid_counts[p] / len(names), p, os.path.join(d, f)) for f in names]
-    files.sort(key=lambda f: (-f[0], f[1], f[2]))
-    bins = [[] for _ in range(min(len(files), n_bins))]
-    load = [0.0] * len(bins)
-    for rows, p, path in files:
-        b = load.index(min(load))
-        bins[b].append((path, p))
-        load[b] += rows
-    return bins
+        files += [((p, os.path.join(d, f)), index.pid_counts[p] / len(names)) for f in names]
+    return [[(path, p) for p, path in b] for b in lpt_pack(files, n_bins)]
 
 
 def read_files(files: Iterable[Tuple[str, int]], columns: List[str]) -> Iterator[pa.RecordBatch]:

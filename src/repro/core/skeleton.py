@@ -100,7 +100,7 @@ class Skeleton:
         return gid, pid, nodes
 
     def assign_rows(self, ids: np.ndarray, X: np.ndarray) -> Dict[str, np.ndarray]:
-        """Step 4's batch function for `paa.map_series`: raw series (rows × n)
+        """Step 4's batch function for `paa.map_batch`: raw series (rows × n)
         → their stored ``gid``, ``node`` and ``pid`` columns, by
         :meth:`signatures` and :meth:`assign_records`. As a bound method it
         carries the skeleton to the executors in the kernel's closure (the

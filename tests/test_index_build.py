@@ -1,8 +1,13 @@
 """CLIMBER-INX end-to-end build tests on Spark (paper Fig. 6)."""
 import glob
+import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -12,6 +17,7 @@ import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as F
 
+import repro
 from repro.core.assignment import FALLBACK_GID
 from repro.baselines.dpisax import build_dpisax
 from repro.baselines.tardis import build_tardis
@@ -20,7 +26,8 @@ from repro.core.paa import map_series, series_matrix
 from repro.core.query import QueryPlan, knn_scan, route
 from repro.core.trie import iter_nodes
 from repro.oracle import assert_equivalent
-from tests.conftest import BASELINE_KW, K_SMALL, N_SMALL, SMALL_PARAMS, decode_series, job_group
+from tests.conftest import (
+    BASELINE_KW, K_SMALL, LEN_SMALL, N_SMALL, SMALL_PARAMS, decode_series, job_group)
 
 
 class TestBuildOutputs:
@@ -257,16 +264,24 @@ class TestJobsPerBuild:
 
     @pytest.mark.parametrize("name", sorted(BUILDS))
     def test_three_jobs(self, spark, small_df, tmp_path, name):
-        """One pass over the data per build step: the sample's collect, the
-        shuffle and the write; the stats are read back without a job."""
+        """One pass over the data per build step: the sample's collect,
+        Step 4's assign + spill and its gather + write; the stats are read
+        back without a job."""
         with job_group(spark, f"build-{name}") as jobs:
             self.BUILDS[name](spark, small_df, str(tmp_path / name))
             assert jobs() == 3
 
 
+def file_hashes(data_path):
+    """``pid=P/part-*.parquet`` → sha1 of the file's bytes."""
+    files = glob.glob(os.path.join(data_path, "pid=*", "part-*.parquet"))
+    return {os.path.relpath(f, data_path): hashlib.sha1(Path(f).read_bytes()).hexdigest() for f in files}
+
+
 class TestSplitInvariance:
     def test_same_rows_any_split_same_index(self, spark, small_df, queries, climber_index, tmp_path):
-        """The input's partitioning and the shuffle width do not change the build."""
+        """The input's partitioning and the shuffle width do not change the
+        build, down to the bytes of every stored file."""
         _, Q = queries
         variants = ("knn", "adaptive-2x", "adaptive-4x", "od-smallest")
 
@@ -276,6 +291,8 @@ class TestSplitInvariance:
             return idx.skeleton.pivots, idx.pid_counts, plans
 
         ref_piv, ref_counts, ref_plans = signature(climber_index)
+        ref_files = file_hashes(climber_index.data_path)
+        assert len(ref_files) == len(ref_counts)
         old = spark.conf.get("spark.sql.shuffle.partitions")
         try:
             for ways, shuffle in ((3, 4), (3, 32), (7, 4), (7, 32)):
@@ -286,8 +303,80 @@ class TestSplitInvariance:
                 np.testing.assert_array_equal(piv, ref_piv)
                 assert counts == ref_counts
                 assert plans == ref_plans
+                assert file_hashes(idx.data_path) == ref_files
         finally:
             spark.conf.set("spark.sql.shuffle.partitions", old)
+
+    def test_baseline_same_files_any_split(self, small_df, tardis_index, tmp_path):
+        ref = file_hashes(tardis_index.data_path)
+        assert len(ref) == len(tardis_index.pid_counts)
+        for ways in (3, 7):
+            idx = build_tardis(small_df.repartition(ways), str(tmp_path / str(ways)), **BASELINE_KW)
+            assert idx.pid_counts == tardis_index.pid_counts
+            assert file_hashes(idx.data_path) == ref
+
+
+class TestStep4Hygiene:
+    def test_failed_build_leaves_no_spill(self, spark, small_df, tmp_path):
+        """A NaN in a series the α-sample skips fails Step 4's spill job,
+        not the sample; the spill directory is removed all the same."""
+        scale = 1 << 20
+        unsampled = F.pmod(F.xxhash64("id", F.lit(SMALL_PARAMS.seed)), F.lit(scale)) >= F.lit(
+            SMALL_PARAMS.alpha * scale)
+        bad = small_df.where(unsampled).agg(F.min("id")).first()[0]
+        nan = F.when(F.col("id") == bad, F.array_repeat(F.lit(float("nan")), LEN_SMALL))
+        df = small_df.withColumn("series", nan.otherwise(F.col("series")))
+        out = tmp_path / "idx"
+        with pytest.raises(Exception, match="non-finite readings"):
+            build_index(spark, df, str(out), SMALL_PARAMS)
+        assert not (out / "_spill").exists()
+        assert not (out / "meta.json").exists()
+
+    def test_rebuild_keeps_only_new_pids(self, spark, small_df, climber_index, tmp_path):
+        """Building again into an index's directory with other parameters
+        leaves exactly the new build's ``pid=`` directories, one file each."""
+        out = shutil.copytree(climber_index.out_dir, tmp_path / "idx")
+        idx = build_index(spark, small_df, str(out), replace(SMALL_PARAMS, capacity=400))
+        assert len(idx.pid_counts) < len(climber_index.pid_counts)
+        dirs = sorted(os.listdir(idx.data_path))
+        assert dirs == sorted(f"pid={p}" for p in idx.pid_counts)
+        assert all(os.listdir(os.path.join(idx.data_path, d)) == ["part-00000.parquet"] for d in dirs)
+        assert sorted(os.listdir(out)) == ["data", "meta.json", "skeleton.pkl"]
+
+
+def test_worker_write_leaves_pyarrow_dataset_unloaded(tmp_path):
+    """A fresh interpreter that imports the index module and runs Step 4's
+    task bodies (`paa.map_batch`, `index.spill_batch`, `index.write_pid`) on
+    a small batch never loads ``pyarrow.dataset`` (+45 MB per Python
+    worker); the written files hold every row, sorted by ``(node, id)``."""
+    script = (
+        "import sys\n"
+        "import numpy as np, pyarrow as pa\n"
+        "from repro.core.index import ClimberIndex, map_batch, spill_batch, write_pid\n"
+        "X = np.arange(60.0).reshape(12, 5)\n"
+        "batch = pa.RecordBatch.from_arrays([pa.array(np.arange(12)[::-1]), "
+        "pa.array(list(X))], names=['id', 'series'])\n"
+        "fn = lambda ids, X: {'gid': ids % 2, 'node': ids % 4, 'pid': ids % 3}\n"
+        "rows = spill_batch(map_batch(batch, fn, ClimberIndex.SCHEMA), sys.argv[1], '0-0')\n"
+        "for p in rows:\n"
+        "    write_pid(sys.argv[1], sys.argv[2], p, ('node',))\n"
+        "print(sorted(rows.items()), 'pyarrow.dataset' in sys.modules)\n"
+    )
+    X = np.arange(60.0).reshape(12, 5)  # as in the script, where row r holds id 11 - r
+    spill, data = tmp_path / "_spill", tmp_path / "data"
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script, str(spill), str(data)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split()[-1] == "False"
+    assert out.startswith("[(0, 4), (1, 4), (2, 4)]")
+    for p in range(3):
+        (f,) = glob.glob(str(data / f"pid={p}" / "*.parquet"))
+        t = pq.read_table(f)
+        assert t.column_names == ["id", "series", "gid", "node"]
+        ids = t.column("id").to_numpy()
+        assert sorted(ids) == [i for i in range(12) if i % 3 == p]
+        assert list(zip(ids % 4, ids)) == sorted(zip(ids % 4, ids))
+        np.testing.assert_array_equal(series_matrix(t.column("series").combine_chunks()), X[11 - ids])
 
 
 class TestPersistence:

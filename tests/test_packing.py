@@ -1,4 +1,4 @@
-"""FFD node-packing tests (paper Def. 13)."""
+"""FFD node-packing tests (paper Def. 13), and the LPT task packing."""
 import math
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.packing import ffd_pack
+from repro.core.packing import ffd_pack, lpt_pack
 
 
 class TestBasics:
@@ -87,3 +87,17 @@ class TestFFDQuality:
         cap = 25
         bins = ffd_pack([(f"i{k}", s) for k, s in enumerate(sizes)], cap)
         assert len(bins) >= math.ceil(sum(sizes) / cap)
+
+
+class TestLptPack:
+    def test_largest_first_to_lightest_bin(self):
+        items = [("a", 5), ("b", 3), ("c", 3), ("d", 2), ("e", 1)]
+        assert lpt_pack(items, 2) == [["a", "d"], ["b", "c", "e"]]
+
+    def test_any_input_order_same_bins(self):
+        items = [(p, float(p % 4)) for p in range(11)]
+        assert lpt_pack(items[::-1], 3) == lpt_pack(items, 3)
+
+    def test_no_more_bins_than_items(self):
+        assert lpt_pack([(7, 1.0)], 4) == [[7]]
+        assert lpt_pack([], 4) == []

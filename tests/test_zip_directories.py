@@ -12,7 +12,6 @@ import zipimport
 
 import pytest
 
-from repro.baselines import common
 from repro.baselines.dss import dss_knn
 from repro.baselines.tardis import build_tardis
 from repro.core import index, paa, query
@@ -107,33 +106,39 @@ KERNELS = {
     "knn_scan": lambda spark, df, out, Q, idx: idx.knn_batch(spark, Q, K_SMALL),
     "dss_knn": lambda spark, df, out, Q, idx: dss_knn(df, Q, K_SMALL),
 }
+# The task bodies each kernel's jobs run: `paa.map_batch` (both builds'
+# sample and Step 4's spill), `index.write_pid` (Step 4's gather and write)
+# and `query.scan_batch`.
+PROBED = {
+    "climber build": ("map_batch", "write_pid"),
+    "baseline build": ("map_batch", "write_pid"),
+    "knn_scan": ("scan_batch",),
+    "dss_knn": ("scan_batch",),
+}
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_active_in_executor_tasks(spark, small_df, queries, climber_index, tmp_path, monkeypatch, kernel):
-    """Each call of a batch function under `paa.map_series` (both builds'
-    sample and Step 4) and of `query.scan_batch` (`knn_scan`, `dss_knn`)
-    finds the guard installed in its worker."""
+    """Each call of a task body of the kernel's Spark jobs finds the guard
+    installed in its worker, and every body the kernel runs is called."""
     sc = spark.sparkContext
-    calls, guarded = sc.accumulator(0), sc.accumulator(0)
+    calls = {name: sc.accumulator(0) for name in PROBED[kernel]}
+    guarded = sc.accumulator(0)
 
-    def probed(fn):
+    def probed(name, fn):
         def call(*args):
             import zipimport
 
-            calls.add(1)
+            calls[name].add(1)
             guarded.add(int(hasattr(zipimport.zipimporter.invalidate_caches, "__wrapped__")))
             return fn(*args)
         return call
 
-    stock = paa.map_series
-
-    def map_series(df, fn, schema):
-        return stock(df, probed(fn), schema)
-
-    for module in (paa, index, common):
-        monkeypatch.setattr(module, "map_series", map_series)
-    monkeypatch.setattr(query, "scan_batch", probed(query.scan_batch))
+    map_batch = probed("map_batch", paa.map_batch)
+    for module in (paa, index):
+        monkeypatch.setattr(module, "map_batch", map_batch)
+    monkeypatch.setattr(index, "write_pid", probed("write_pid", index.write_pid))
+    monkeypatch.setattr(query, "scan_batch", probed("scan_batch", query.scan_batch))
     KERNELS[kernel](spark, small_df, str(tmp_path / "idx"), queries[1], climber_index)
-    assert calls.value > 0
-    assert guarded.value == calls.value
+    assert all(c.value > 0 for c in calls.values())
+    assert guarded.value == sum(c.value for c in calls.values())
